@@ -78,6 +78,25 @@ let verify_sb run =
   assert v.Solver.consistent;
   v
 
+(* The end-to-end verify size: sb at 50k iterations is 200k events. *)
+let run_50k = prepared_run 50_000
+
+(* The multi-writer search path: co-iriw's two writers race on x, so the
+   coherence merge runs (and re-derives reachability after every
+   append) instead of the two-pass fast path. *)
+let co_iriw =
+  lazy
+    (let conv = Result.get_ok (Convert.convert (Catalog.find_exn "co-iriw")) in
+     ( conv,
+       Perpetual.run ~rng:(Rng.create 1) ~image:conv.Convert.image
+         ~t_reads:conv.Convert.t_reads ~iterations:125 () ))
+
+let verify_co_iriw () =
+  let conv, run = Lazy.force co_iriw in
+  let v = Trace_check.verify ~model:Operational.Tso conv run in
+  assert (v.Solver.consistent && v.Solver.decisions > 0);
+  v
+
 let sb_target =
   lazy
     (let conv = Lazy.force sb_conv in
@@ -125,6 +144,8 @@ let frames_per_run =
     ("solver:verify-trace-500ev", 500);
     ("solver:verify-trace-2kev", 2_000);
     ("solver:verify-trace-8kev", 8_000);
+    ("solver:verify-trace-200kev", 200_000);
+    ("solver:verify-trace-co-iriw-125it", 750);
   ]
 
 let campaign ~jobs () =
@@ -226,6 +247,10 @@ let micro_tests =
       (Staged.stage (fun () -> verify_sb run_500));
     Test.make ~name:"solver:verify-trace-8kev"
       (Staged.stage (fun () -> verify_sb run_2k));
+    Test.make ~name:"solver:verify-trace-200kev"
+      (Staged.stage (fun () -> verify_sb run_50k));
+    Test.make ~name:"solver:verify-trace-co-iriw-125it"
+      (Staged.stage verify_co_iriw);
   ]
 
 let run_micro () =

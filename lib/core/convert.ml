@@ -19,6 +19,7 @@ type t = {
   frame_index : int array;
   stores : store list;
   k_by_loc : int array;
+  by_residue : store option array array;
 }
 
 type reason =
@@ -128,12 +129,30 @@ let convert_body test =
           init = Array.map (fun _ -> 0) names;
         }
       in
+      (* The store each (location, residue) decodes to: the first in
+         [stores] order. *)
+      let by_residue = Array.map (fun k -> Array.make (k + 1) None) k_by_loc in
+      List.iter
+        (fun s ->
+          let slot = by_residue.(s.loc_id) in
+          if Option.is_none slot.(s.canonical) then
+            slot.(s.canonical) <- Some s)
+        stores;
       let t_reads = Ast.loads_per_thread test in
       let load_threads = Array.of_list (Ast.load_threads test) in
       let frame_index = Array.make (Ast.thread_count test) (-1) in
       Array.iteri (fun i t -> frame_index.(t) <- i) load_threads;
       Ok
-        { test; image; t_reads; load_threads; frame_index; stores; k_by_loc })
+        {
+          test;
+          image;
+          t_reads;
+          load_threads;
+          frame_index;
+          stores;
+          k_by_loc;
+          by_residue;
+        })
 
 let convert test =
   match
@@ -146,25 +165,20 @@ let convert test =
 
 type decoded = Initial | Member of { store : store; iteration : int }
 
+let member t ~loc_id ~value =
+  let k = t.k_by_loc.(loc_id) in
+  if value <= 0 || k = 0 then None
+  else t.by_residue.(loc_id).(((value - 1) mod k) + 1)
+
+let iteration_of store ~value = (value - store.canonical) / store.k
+
 let decode t ~loc_id ~value =
   if value = 0 then Some Initial
-  else if value < 0 then None
-  else begin
-    let k = t.k_by_loc.(loc_id) in
-    if k = 0 then None
-    else begin
-      let canonical = ((value - 1) mod k) + 1 in
-      let iteration = (value - canonical) / k in
-      let store =
-        List.find_opt
-          (fun s -> s.loc_id = loc_id && s.canonical = canonical)
-          t.stores
-      in
-      match store with
-      | Some store when iteration >= 0 -> Some (Member { store; iteration })
-      | Some _ | None -> None
-    end
-  end
+  else
+    match member t ~loc_id ~value with
+    | Some store ->
+      Some (Member { store; iteration = iteration_of store ~value })
+    | None -> None
 
 let store_for_value t ~location ~value =
   List.find_opt

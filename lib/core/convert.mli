@@ -41,6 +41,9 @@ type t = {
           [load_threads], or [-1] for store-only threads. *)
   stores : store list;
   k_by_loc : int array;  (** [k_mem] per interned location id. *)
+  by_residue : store option array array;
+      (** [by_residue.(loc_id).(r)]: the store writing canonical residue
+          [r] to the location (the first in [stores] order). *)
 }
 
 type reason =
@@ -69,6 +72,15 @@ type decoded =
 val decode : t -> loc_id:int -> value:int -> decoded option
 (** [None] when the value is no member of any sequence of the location
     (negative, or a non-positive iteration would result). *)
+
+val member : t -> loc_id:int -> value:int -> store option
+(** The store whose sequence a positive value belongs to, [None] when no
+    store of the location has its residue (or the value is not
+    positive).  Allocation-free: {!decode} for hot loops. *)
+
+val iteration_of : store -> value:int -> int
+(** The iteration at which a {!member} value was stored: the inverse of
+    {!seq_value}. *)
 
 val store_for_value : t -> location:string -> value:int -> store option
 (** The unique store instruction writing original constant [value] to the

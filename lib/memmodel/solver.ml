@@ -11,22 +11,20 @@ module E = Event_graph
    reachability (the Chakraborty-style polynomial fast path) and search
    branches only on genuinely free choices. *)
 
-(* ---------- flat problem events ---------- *)
+(* ---------- flat executions ---------- *)
 
-(* The solver core works on a flat event array so litmus tests and whole
-   perpetual-run traces share one engine.  Program order is the index
-   order of same-thread events. *)
-type ekind =
-  | K_write of string
-  | K_read of string
-  | K_fence
-  | K_flush of string
+(* Litmus tests and whole perpetual-run traces share one kernel over flat
+   arrays: ids are thread-major, program order is index order within a
+   thread's range, and locations are dense ids. *)
+type ekind = Write | Read | Fence | Flush
 
-type pev = { thread : int; kind : ekind }
-
-let loc_of = function
-  | K_write x | K_read x | K_flush x -> Some x
-  | K_fence -> None
+type execution = {
+  locations : string array;
+  thread_start : int array;
+  kind : ekind array;
+  loc : int array;
+  rf : int array;
+}
 
 type verdict = {
   consistent : bool;
@@ -36,101 +34,155 @@ type verdict = {
   backtracks : int;           (* abandoned branches *)
 }
 
-(* ---------- graphs with chain-decomposed reachability ---------- *)
+(* Dense location ids in first-use order.  Executions touch a handful of
+   locations, so a scan beats hashing. *)
+let interner () =
+  let names = ref [||] in
+  let intern x =
+    let a = !names in
+    let rec find i =
+      if i = Array.length a then begin
+        names := Array.append a [| x |];
+        i
+      end
+      else if String.equal a.(i) x then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  (intern, fun () -> !names)
 
-(* Every graph is a union of chains (paths) plus extra edges.  Each event
-   records its (chain, position) memberships, and after a topological pass
-   a vector clock per node holds, for each chain, the highest position
-   that reaches it — making reachability queries O(memberships). *)
-type graph = {
-  gname : string;
-  adj : int list array;
-  memb : (int * int) list array;  (* event -> (chain, position) *)
-  nchains : int;
-  vc : int array array;  (* node -> chain -> max position reaching it *)
-  indeg : int array;     (* scratch for the topological pass *)
-  topo : int array;      (* scratch: topological order of node ids *)
+(* ---------- graphs ---------- *)
+
+(* A CSR adjacency under construction.  Generating the same edges twice
+   builds it: the first round of [add]s counts out-degrees; after [seal],
+   the second fills each node's segment back to front, leaving [off] at
+   the segment starts. *)
+type csr = {
+  off : int array;  (* node -> first index of its successors in [dst] *)
+  mutable dst : int array;
+  mutable filling : bool;
 }
 
-let mk_graph name n chains extra =
-  let adj = Array.make n [] in
-  let memb = Array.make n [] in
-  let nchains = List.length chains in
-  List.iteri
-    (fun c ids ->
-      List.iteri (fun p id -> memb.(id) <- (c, p) :: memb.(id)) ids;
-      let rec link = function
-        | a :: (b :: _ as rest) ->
-          adj.(a) <- b :: adj.(a);
-          link rest
-        | [ _ ] | [] -> ()
-      in
-      link ids)
-    chains;
-  List.iter (fun (u, v) -> adj.(u) <- v :: adj.(u)) extra;
-  {
-    gname = name;
-    adj;
-    memb;
-    nchains;
-    vc = Array.init n (fun _ -> Array.make (max 1 nchains) (-1));
-    indeg = Array.make n 0;
-    topo = Array.make n 0;
-  }
+let csr n = { off = Array.make (n + 1) 0; dst = [||]; filling = false }
 
-(* Topological sort (cycle check) + vector-clock pass. *)
-let recompute n g =
-  let indeg = g.indeg and topo = g.topo in
-  Array.fill indeg 0 n 0;
-  for u = 0 to n - 1 do
-    List.iter (fun v -> indeg.(v) <- indeg.(v) + 1) g.adj.(u)
-  done;
-  let count = ref 0 in
-  for u = 0 to n - 1 do
-    if indeg.(u) = 0 then begin
-      topo.(!count) <- u;
-      incr count
-    end
-  done;
-  let head = ref 0 in
-  while !head < !count do
-    let u = topo.(!head) in
-    incr head;
-    List.iter
-      (fun v ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then begin
-          topo.(!count) <- v;
-          incr count
-        end)
-      g.adj.(u)
-  done;
-  if !count < n then Error (Printf.sprintf "cycle in %s graph" g.gname)
-  else begin
-    let nc = g.nchains in
-    for v = 0 to n - 1 do
-      Array.fill g.vc.(v) 0 (max 1 nc) (-1)
-    done;
-    for i = 0 to n - 1 do
-      let u = topo.(i) in
-      let vu = g.vc.(u) in
-      List.iter
-        (fun v ->
-          let vv = g.vc.(v) in
-          for c = 0 to nc - 1 do
-            if vu.(c) > vv.(c) then vv.(c) <- vu.(c)
-          done;
-          List.iter
-            (fun (c, p) -> if p > vv.(c) then vv.(c) <- p)
-            g.memb.(u))
-        g.adj.(u)
-    done;
-    Ok ()
+let add c u v =
+  if c.filling then begin
+    let i = c.off.(u) - 1 in
+    c.off.(u) <- i;
+    c.dst.(i) <- v
   end
+  else c.off.(u) <- c.off.(u) + 1
 
-(* Valid only between a [recompute] and the next edge addition. *)
-let reaches g a b =
-  List.exists (fun (c, p) -> g.vc.(b).(c) >= p) g.memb.(a)
+let add_to c u v = if v >= 0 then add c u v
+
+let seal c =
+  let n = Array.length c.off - 1 in
+  for u = 1 to n - 1 do
+    c.off.(u) <- c.off.(u) + c.off.(u - 1)
+  done;
+  if n > 0 then c.off.(n) <- c.off.(n - 1);
+  c.dst <- Array.make c.off.(n) 0;
+  c.filling <- true
+
+let build_csrs cs gen =
+  gen ();
+  List.iter seal cs;
+  gen ()
+
+(* A graph is a CSR adjacency of its static edges (po chains, rf, fr) plus
+   per-node lists of the coherence edges search adds and the trail takes
+   back.  Only when some location has writers on several threads is
+   anything searched; then [vc] holds one vector clock per node over the
+   coherence chains (each such location's per-thread write sequences):
+   [vc.(v * nchains + c)] is the highest position in chain [c] of a write
+   with a path to [v], which makes reachability from a chain write one
+   lookup.  Otherwise [dyn] and [vc] are empty and a check is two Kahn
+   passes. *)
+type graph = {
+  gname : string;
+  edges : csr;
+  dyn : int list array;
+  vc : int array;
+}
+
+(* Static edges of both graphs in one scan, emitted only up to transitive
+   closure (all that acyclicity and reachability observe).  Uniproc:
+   po-loc chains, rf, fr.  Model graph: po (SC) or reduced ppo ∪ fenced
+   chains (TSO/PSO: reads and fences in order, writes in order — per
+   location under PSO — and every read or fence before the next write),
+   rfe (all of rf under SC), and the same fr.  fr is materialized as far
+   as [rf] alone forces it: to the source's po-next same-location write,
+   or, from the initial value, to every thread's first write of the
+   location. *)
+let static_edges ~(model : Operational.model) ex ~next_write ~first_write
+    ~extra ~uni ~mg =
+  let nlocs = Array.length ex.locations in
+  let nthreads = Array.length ex.thread_start - 1 in
+  let next_loc = Array.make nlocs (-1) in  (* next located event *)
+  let next_wloc = Array.make nlocs (-1) in  (* next write (PSO) *)
+  for t = 0 to nthreads - 1 do
+    let lo = ex.thread_start.(t) and hi = ex.thread_start.(t + 1) in
+    Array.fill next_loc 0 nlocs (-1);
+    Array.fill next_wloc 0 nlocs (-1);
+    let next_rf = ref (-1) and next_w = ref (-1) and next_f = ref (-1) in
+    for id = hi - 1 downto lo do
+      let x = ex.loc.(id) in
+      let k = ex.kind.(id) in
+      if k = Read then begin
+        let w = ex.rf.(id) in
+        if w >= 0 then begin
+          add uni w id;
+          if model = Operational.Sc || w < lo || w >= hi then add mg w id;
+          let w' = next_write.(w) in
+          if w' >= 0 then begin
+            add uni id w';
+            add mg id w'
+          end
+        end
+        else
+          for t' = 0 to nthreads - 1 do
+            let w0 = first_write.((t' * nlocs) + x) in
+            if w0 >= 0 then begin
+              add uni id w0;
+              add mg id w0
+            end
+          done
+      end;
+      if k <> Fence then begin
+        add_to uni id next_loc.(x);
+        next_loc.(x) <- id
+      end;
+      match (model, k) with
+      | Operational.Sc, _ -> if id + 1 < hi then add mg id (id + 1)
+      | _, Flush -> ()  (* not a memory event under TSO/PSO *)
+      | Operational.Tso, (Read | Fence) ->
+        add_to mg id !next_rf;
+        add_to mg id !next_w;
+        next_rf := id;
+        if k = Fence then next_f := id
+      | Operational.Tso, Write ->
+        add_to mg id !next_w;
+        add_to mg id !next_f;
+        next_w := id
+      | Operational.Pso, (Read | Fence) ->
+        add_to mg id !next_rf;
+        for y = 0 to nlocs - 1 do
+          add_to mg id next_wloc.(y)
+        done;
+        next_rf := id;
+        if k = Fence then next_f := id
+      | Operational.Pso, Write ->
+        add_to mg id next_wloc.(x);
+        add_to mg id !next_f;
+        next_wloc.(x) <- id
+    done
+  done;
+  List.iter
+    (fun (u, v) ->
+      add uni u v;
+      add mg u v)
+    extra
 
 (* ---------- solver state ---------- *)
 
@@ -149,17 +201,90 @@ type state = {
   uni : graph;
   mg : graph;
   merges : merge list;
-  readers : int list array;  (* write id -> reads sourced from it *)
+  nchains : int;
+  chain_of : int array;  (* merge write -> its global chain index *)
+  pos_of : int array;    (* merge write -> its position in that chain *)
+  reader_off : int array;  (* write -> first index of its reads in [readers] *)
+  readers : int array;
+  indeg : int array;     (* scratch for the topological pass *)
+  topo : int array;      (* scratch: topological order of node ids *)
   mutable trail : (unit -> unit) list;
   mutable decisions : int;
   mutable backtracks : int;
 }
 
+let push_clock (vc : int array) nc ~u ~cu ~(pu : int) v =
+  let bu = u * nc and bv = v * nc in
+  for c = 0 to nc - 1 do
+    if vc.(bu + c) > vc.(bv + c) then vc.(bv + c) <- vc.(bu + c)
+  done;
+  if cu >= 0 && pu > vc.(bv + cu) then vc.(bv + cu) <- pu
+
+(* Kahn's topological sort (the cycle check), then the vector-clock pass
+   when anything is searched. *)
+let recompute st g =
+  let n = st.n and indeg = st.indeg and topo = st.topo in
+  let off = g.edges.off and dst = g.edges.dst and dyn = g.dyn in
+  let searching = Array.length dyn > 0 in
+  Array.fill indeg 0 n 0;
+  for i = 0 to Array.length dst - 1 do
+    let v = dst.(i) in
+    indeg.(v) <- indeg.(v) + 1
+  done;
+  if searching then
+    Array.iter (List.iter (fun v -> indeg.(v) <- indeg.(v) + 1)) dyn;
+  let count = ref 0 in
+  for u = 0 to n - 1 do
+    if indeg.(u) = 0 then begin
+      topo.(!count) <- u;
+      incr count
+    end
+  done;
+  let release v =
+    let d = indeg.(v) - 1 in
+    indeg.(v) <- d;
+    if d = 0 then begin
+      topo.(!count) <- v;
+      incr count
+    end
+  in
+  let head = ref 0 in
+  while !head < !count do
+    let u = topo.(!head) in
+    incr head;
+    for i = off.(u) to off.(u + 1) - 1 do
+      release dst.(i)
+    done;
+    if searching then List.iter release dyn.(u)
+  done;
+  if !count < n then Error (Printf.sprintf "cycle in %s graph" g.gname)
+  else begin
+    if searching then begin
+      let nc = st.nchains and vc = g.vc in
+      Array.fill vc 0 (n * nc) (-1);
+      for i = 0 to n - 1 do
+        let u = topo.(i) in
+        let cu = st.chain_of.(u) and pu = st.pos_of.(u) in
+        for j = off.(u) to off.(u + 1) - 1 do
+          push_clock vc nc ~u ~cu ~pu dst.(j)
+        done;
+        List.iter (push_clock vc nc ~u ~cu ~pu) dyn.(u)
+      done
+    end;
+    Ok ()
+  end
+
+(* Valid only between a [recompute] and the next edge addition; [a] is a
+   merge write. *)
+let reaches st g a b =
+  g.vc.((b * st.nchains) + st.chain_of.(a)) >= st.pos_of.(a)
+let reaches2 st a b = reaches st st.uni a b || reaches st st.mg a b
+
 let push st f = st.trail <- f :: st.trail
 
 let add_edge st g u v =
-  g.adj.(u) <- v :: g.adj.(u);
-  push st (fun () -> g.adj.(u) <- List.tl g.adj.(u))
+  g.dyn.(u) <- v :: g.dyn.(u);
+  push st (fun () -> g.dyn.(u) <- List.tl g.dyn.(u))
 
 let add_edge2 st u v =
   add_edge st st.uni u v;
@@ -194,7 +319,9 @@ let append st m ci =
       m.last <- prev);
   if prev >= 0 then begin
     add_edge2 st prev h;
-    List.iter (fun r -> add_edge2 st r h) st.readers.(prev)
+    for i = st.reader_off.(prev) to st.reader_off.(prev + 1) - 1 do
+      add_edge2 st st.readers.(i) h
+    done
   end;
   Array.iteri
     (fun cj chain ->
@@ -244,14 +371,16 @@ let find_step st =
         let heads =
           List.map (fun ci -> (ci, m.chains.(ci).(m.idx.(ci)))) (nonempty_chains m)
         in
+        let rec reaches_reader h' i stop =
+          i < stop
+          && (reaches2 st h' st.readers.(i) || reaches_reader h' (i + 1) stop)
+        in
         let blocked (ci, h) =
           List.exists
             (fun (cj, h') ->
               cj <> ci
-              && (reaches st.uni h' h || reaches st.mg h' h
-                 || List.exists
-                      (fun r -> reaches st.uni h' r || reaches st.mg h' r)
-                      st.readers.(h)))
+              && (reaches2 st h' h
+                 || reaches_reader h' st.reader_off.(h) st.reader_off.(h + 1)))
             heads
         in
         match List.filter (fun hd -> not (blocked hd)) heads with
@@ -267,13 +396,13 @@ let find_step st =
   | None, None -> Done
 
 let recompute2 st =
-  match recompute st.n st.uni with
+  match recompute st st.uni with
   | Error _ as e -> e
-  | Ok () -> recompute st.n st.mg
+  | Ok () -> recompute st st.mg
 
 (* DPLL over the coherence orders: propagate (drain + forced appends,
-   re-checking acyclicity incrementally after each) and branch only on
-   free interleaving points, undoing via the trail. *)
+   re-checking acyclicity after each) and branch only on free
+   interleaving points, undoing via the trail. *)
 let rec solve st =
   drain_single_chains st;
   match recompute2 st with
@@ -308,214 +437,130 @@ let rec solve st =
 
 (* ---------- static construction ---------- *)
 
-let build ~(model : Operational.model) ~(events : pev array)
-    ~(rf : int option array) ~(extra : (int * int) list) =
-  let n = Array.length events in
-  let nthreads =
-    Array.fold_left (fun m e -> max m (e.thread + 1)) 0 events
-  in
-  let by_thread = Array.make nthreads [] in
+let build ~(model : Operational.model) ex ~extra =
+  let n = Array.length ex.kind in
+  let nlocs = Array.length ex.locations in
+  let nthreads = Array.length ex.thread_start - 1 in
+  let first_use = Array.make nlocs max_int in
   for id = n - 1 downto 0 do
-    by_thread.(events.(id).thread) <- id :: by_thread.(events.(id).thread)
+    let k = ex.kind.(id) in
+    if k <> Fence then first_use.(ex.loc.(id)) <- id;
+    let w = ex.rf.(id) in
+    if
+      k = Read && w <> -1
+      && (w < 0 || w >= n || ex.kind.(w) <> Write || ex.loc.(w) <> ex.loc.(id))
+    then invalid_arg "Solver: rf source is not a same-location write"
   done;
-  let locs =
-    let seen = Hashtbl.create 8 in
-    let acc = ref [] in
-    Array.iter
-      (fun e ->
-        match loc_of e.kind with
-        | Some x when not (Hashtbl.mem seen x) ->
-          Hashtbl.add seen x ();
-          acc := x :: !acc
-        | _ -> ())
-      events;
-    List.rev !acc
-  in
-  let is_write id = match events.(id).kind with K_write _ -> true | _ -> false in
-  let is_read id = match events.(id).kind with K_read _ -> true | _ -> false in
-  let is_fence id = match events.(id).kind with K_fence -> true | _ -> false in
-  let eloc id = loc_of events.(id).kind in
-  (* Per-(thread, location) write chains: the po-forced spine of every
-     coherence order. *)
-  let writes_tl = Hashtbl.create 16 in
-  Array.iteri
-    (fun t ids ->
-      List.iter
-        (fun id ->
-          if is_write id then
-            let x = Option.get (eloc id) in
-            let cur =
-              Option.value ~default:[] (Hashtbl.find_opt writes_tl (t, x))
-            in
-            Hashtbl.replace writes_tl (t, x) (id :: cur))
-        ids)
-    by_thread;
-  let writes_of t x =
-    List.rev (Option.value ~default:[] (Hashtbl.find_opt writes_tl (t, x)))
-  in
-  (* uniproc: po-loc as per-(thread, location) chains over every located
-     event (writes, reads, flushes). *)
-  let uni_chains =
-    List.concat_map
-      (fun x ->
-        Array.to_list by_thread
-        |> List.filter_map (fun ids ->
-               match List.filter (fun id -> eloc id = Some x) ids with
-               | [] -> None
-               | chain -> Some chain))
-      locs
-  in
-  (* Model graph: reduced per-thread chains whose closure over memory
-     events equals ppo ∪ fenced (flushes are not memory events under
-     TSO/PSO and are excluded there). *)
-  let mg_chains, mg_extra =
-    match model with
-    | Operational.Sc -> (Array.to_list by_thread, [])
-    | Operational.Tso | Operational.Pso ->
-      let chains = ref [] and extra = ref [] in
-      Array.iter
-        (fun ids ->
-          let ids = Array.of_list ids in
-          let m = Array.length ids in
-          let rf_chain =
-            Array.to_list ids |> List.filter (fun id -> is_read id || is_fence id)
-          in
-          if rf_chain <> [] then chains := rf_chain :: !chains;
-          (* One write chain under TSO (all stores drain in order), one
-             per written location under PSO (FIFO per location only). *)
-          let keeps =
-            match model with
-            | Operational.Tso -> [ is_write ]
-            | Operational.Pso ->
-              List.filter_map
-                (fun x ->
-                  if
-                    Array.exists
-                      (fun id -> is_write id && eloc id = Some x)
-                      ids
-                  then Some (fun id -> is_write id && eloc id = Some x)
-                  else None)
-                locs
-            | Operational.Sc -> assert false
-          in
-          List.iter
-            (fun keep ->
-              let chain =
-                Array.to_list ids
-                |> List.filter (fun id -> keep id || is_fence id)
-              in
-              if chain <> [] then chains := chain :: !chains;
-              (* Reads stay ordered before later writes (only W->R and,
-                 under PSO, W->W to a different location are relaxed):
-                 edge from each read to the chain's next element. *)
-              let nxt = ref (-1) in
-              for i = m - 1 downto 0 do
-                let id = ids.(i) in
-                if is_read id && !nxt >= 0 then extra := (id, !nxt) :: !extra;
-                if keep id || is_fence id then nxt := id
-              done)
-            keeps)
-        by_thread;
-      (!chains, !extra)
-  in
-  (* rf, initial-read fr, and po-forced fr edges. *)
-  let uni_extra = ref [] and mg_rf_extra = ref [] in
-  let both = ref extra in
-  let readers = Array.make n [] in
-  (* next same-thread write to the same location, for po-forced fr *)
+  (* Per-(thread, location) write chains as links: the po-forced spine of
+     every coherence order. *)
   let next_write = Array.make n (-1) in
-  Hashtbl.iter
-    (fun _ rev_ids ->
-      let rec go = function
-        | a :: (b :: _ as rest) ->
-          next_write.(b) <- a;
-          go rest
-        | [ _ ] | [] -> ()
-      in
-      go rev_ids)
-    writes_tl;
-  Array.iteri
-    (fun r src ->
-      if is_read r then begin
-        let x = Option.get (eloc r) in
-        match src with
-        | Some w ->
-          (match events.(w).kind with
-          | K_write y when y = x -> ()
-          | _ -> invalid_arg "Solver: rf source is not a same-location write");
-          readers.(w) <- r :: readers.(w);
-          uni_extra := (w, r) :: !uni_extra;
-          (match model with
-          | Operational.Sc -> mg_rf_extra := (w, r) :: !mg_rf_extra
-          | Operational.Tso | Operational.Pso ->
-            if events.(w).thread <> events.(r).thread then
-              mg_rf_extra := (w, r) :: !mg_rf_extra);
-          (* fr to the source's po-successor write: coherence-after the
-             source in every completion *)
-          if next_write.(w) >= 0 then both := (r, next_write.(w)) :: !both
-        | None ->
-          (* reading the initial value: fr to the first write of every
-             thread's chain (the chains carry it to the rest) *)
-          for t = 0 to nthreads - 1 do
-            match writes_of t x with
-            | w0 :: _ -> both := (r, w0) :: !both
-            | [] -> ()
-          done
-      end)
-    rf;
-  let uni =
-    mk_graph "uniproc" n uni_chains (!uni_extra @ !both)
+  let first_write = Array.make (nthreads * nlocs) (-1) in
+  let writer_threads = Array.make nlocs 0 in
+  for t = 0 to nthreads - 1 do
+    let base = t * nlocs in
+    for id = ex.thread_start.(t + 1) - 1 downto ex.thread_start.(t) do
+      if ex.kind.(id) = Write then begin
+        let x = ex.loc.(id) in
+        next_write.(id) <- first_write.(base + x);
+        first_write.(base + x) <- id
+      end
+    done;
+    for x = 0 to nlocs - 1 do
+      if first_write.(base + x) >= 0 then
+        writer_threads.(x) <- writer_threads.(x) + 1
+    done
+  done;
+  (* Coherence merges for locations written by more than one thread, in
+     first-use order (the order search visits them). *)
+  let merge_locs =
+    List.filter (fun x -> writer_threads.(x) >= 2) (List.init nlocs Fun.id)
+    |> List.sort (fun a b -> compare first_use.(a) first_use.(b))
   in
-  let mg =
-    mk_graph
-      (Operational.model_to_string model)
-      n mg_chains
-      (mg_extra @ !mg_rf_extra @ !both)
-  in
-  (* Coherence merges for locations written by more than one thread. *)
+  let searching = merge_locs <> [] in
+  let chain_of = Array.make (if searching then n else 0) (-1) in
+  let pos_of = Array.make (if searching then n else 0) (-1) in
+  let nchains = ref 0 in
   let merges =
-    List.filter_map
+    List.map
       (fun x ->
         let chains =
-          List.init nthreads (fun t -> writes_of t x)
-          |> List.filter (fun c -> c <> [])
-          |> List.map Array.of_list
+          List.init nthreads (fun t -> first_write.((t * nlocs) + x))
+          |> List.filter (fun w0 -> w0 >= 0)
+          |> List.map (fun w0 ->
+                 let rec walk w =
+                   if w < 0 then [] else w :: walk next_write.(w)
+                 in
+                 let chain = Array.of_list (walk w0) in
+                 Array.iteri
+                   (fun p w ->
+                     chain_of.(w) <- !nchains;
+                     pos_of.(w) <- p)
+                   chain;
+                 incr nchains;
+                 chain)
+          |> Array.of_list
         in
-        if List.length chains < 2 then None
-        else
-          let chains = Array.of_list chains in
-          Some
-            {
-              mloc = x;
-              chains;
-              idx = Array.make (Array.length chains) 0;
-              last = -1;
-              remaining =
-                Array.fold_left (fun a c -> a + Array.length c) 0 chains;
-            })
-      locs
+        {
+          mloc = ex.locations.(x);
+          chains;
+          idx = Array.make (Array.length chains) 0;
+          last = -1;
+          remaining = Array.fold_left (fun a c -> a + Array.length c) 0 chains;
+        })
+      merge_locs
   in
-  { n; uni; mg; merges; readers; trail = []; decisions = 0; backtracks = 0 }
+  let nchains = !nchains in
+  (* write -> the reads sourced from it, as CSR; only search consults it *)
+  let rd = csr (if searching then n else 0) in
+  if searching then
+    build_csrs [ rd ] (fun () ->
+        for r = 0 to n - 1 do
+          if ex.kind.(r) = Read && ex.rf.(r) >= 0 then add rd ex.rf.(r) r
+        done);
+  let uni = csr n and mg = csr n in
+  build_csrs [ uni; mg ] (fun () ->
+      static_edges ~model ex ~next_write ~first_write ~extra ~uni ~mg);
+  let graph gname edges =
+    {
+      gname;
+      edges;
+      dyn = (if searching then Array.make n [] else [||]);
+      vc = (if searching then Array.make (n * nchains) (-1) else [||]);
+    }
+  in
+  {
+    n;
+    uni = graph "uniproc" uni;
+    mg = graph (Operational.model_to_string model) mg;
+    merges;
+    nchains;
+    chain_of;
+    pos_of;
+    reader_off = rd.off;
+    readers = rd.dst;
+    indeg = Array.make n 0;
+    topo = Array.make n 0;
+    trail = [];
+    decisions = 0;
+    backtracks = 0;
+  }
 
-let solve_exec ~model ~events ~rf ~extra =
-  let st = build ~model ~events ~rf ~extra in
+let check_exec ?(extra = []) model ex =
+  let st = build ~model ex ~extra in
+  let verdict consistent violation =
+    {
+      consistent;
+      events = st.n;
+      violation;
+      decisions = st.decisions;
+      backtracks = st.backtracks;
+    }
+  in
   match solve st with
-  | Ok () ->
-    {
-      consistent = true;
-      events = st.n;
-      violation = None;
-      decisions = st.decisions;
-      backtracks = st.backtracks;
-    }
-  | Error reason ->
-    {
-      consistent = false;
-      events = st.n;
-      violation = Some reason;
-      decisions = st.decisions;
-      backtracks = st.backtracks;
-    }
+  | Ok () -> verdict true None
+  | Error reason -> verdict false (Some reason)
+
+let check model ex = check_exec model ex
 
 (* ---------- whole-trace verification ---------- *)
 
@@ -524,25 +569,32 @@ type trace_event =
   | T_read of string * int option
   | T_fence
 
+(* The boxed trace view, flattened for the kernel. *)
 let classify_trace model threads =
   let n = Array.fold_left (fun a t -> a + Array.length t) 0 threads in
-  let events = Array.make n { thread = 0; kind = K_fence } in
-  let rf = Array.make n None in
+  let intern, names = interner () in
+  let kind = Array.make n Fence and loc = Array.make n (-1) in
+  let rf = Array.make n (-1) in
+  let thread_start = Array.make (Array.length threads + 1) n in
   let id = ref 0 in
   Array.iteri
     (fun t evs ->
+      thread_start.(t) <- !id;
       Array.iter
         (fun ev ->
           (match ev with
-          | T_write x -> events.(!id) <- { thread = t; kind = K_write x }
+          | T_write x ->
+            kind.(!id) <- Write;
+            loc.(!id) <- intern x
           | T_read (x, src) ->
-            events.(!id) <- { thread = t; kind = K_read x };
-            rf.(!id) <- src
-          | T_fence -> events.(!id) <- { thread = t; kind = K_fence });
+            kind.(!id) <- Read;
+            loc.(!id) <- intern x;
+            rf.(!id) <- Option.value src ~default:(-1)
+          | T_fence -> ());
           incr id)
         evs)
     threads;
-  solve_exec ~model ~events ~rf ~extra:[]
+  check model { locations = names (); thread_start; kind; loc; rf }
 
 (* ---------- litmus-test interface ---------- *)
 
@@ -553,7 +605,7 @@ let classify_trace model threads =
 
 type problem = {
   test : Ast.t;
-  pevents : pev array;
+  exec : execution;  (* rf filled per assignment *)
   evs : E.event list;  (* Event_graph view, same ids *)
   preads : E.event list;
   wvalue : int array;  (* write id -> stored value *)
@@ -562,22 +614,33 @@ type problem = {
 let problem_of_test test =
   let evs = E.events_of_test test in
   let n = List.length evs in
-  let pevents = Array.make n { thread = 0; kind = K_fence } in
+  let intern, names = interner () in
+  let kind = Array.make n Fence and loc = Array.make n (-1) in
   let wvalue = Array.make n 0 in
+  let thread_start = Array.make (Array.length test.Ast.threads + 1) 0 in
   List.iter
     (fun (e : E.event) ->
-      let kind =
-        match e.kind with
-        | E.Write (x, a) ->
-          wvalue.(e.id) <- a;
-          K_write x
-        | E.Read (_, x) -> K_read x
-        | E.Fence -> K_fence
-        | E.Flush x -> K_flush x
-      in
-      pevents.(e.id) <- { thread = e.thread; kind })
+      thread_start.(e.thread + 1) <- thread_start.(e.thread + 1) + 1;
+      match e.kind with
+      | E.Write (x, a) ->
+        wvalue.(e.id) <- a;
+        kind.(e.id) <- Write;
+        loc.(e.id) <- intern x
+      | E.Read (_, x) ->
+        kind.(e.id) <- Read;
+        loc.(e.id) <- intern x
+      | E.Fence -> ()
+      | E.Flush x ->
+        kind.(e.id) <- Flush;
+        loc.(e.id) <- intern x)
     evs;
-  { test; pevents; evs; preads = E.reads evs; wvalue }
+  for t = 1 to Array.length thread_start - 1 do
+    thread_start.(t) <- thread_start.(t) + thread_start.(t - 1)
+  done;
+  let exec =
+    { locations = names (); thread_start; kind; loc; rf = Array.make n (-1) }
+  in
+  { test; exec; evs; preads = E.reads evs; wvalue }
 
 (* Sound po-local prunes (each rejected choice is a uniproc cycle): a
    read cannot source a po-later own write, cannot skip over an own
@@ -616,17 +679,16 @@ let domain p (r : E.event) =
    with the outcome it denotes. *)
 let enumerate ?(domains = []) ~model p ~extra yield =
   let reads = p.preads in
-  let rf = Array.make (Array.length p.pevents) None in
+  let rf = Array.make (Array.length p.exec.kind) None in
   let dom (r : E.event) =
     match List.assq_opt r domains with Some d -> d | None -> domain p r
   in
   let rec go = function
     | [] ->
-      let v =
-        solve_exec ~model ~events:p.pevents
-          ~rf:(Array.map (Option.map (fun (w : E.event) -> w.id)) rf)
-          ~extra
+      let rf_ids =
+        Array.map (function Some (w : E.event) -> w.id | None -> -1) rf
       in
+      let v = check_exec ~extra model { p.exec with rf = rf_ids } in
       if v.consistent then begin
         let bindings =
           List.map

@@ -58,15 +58,6 @@ val classify : Operational.model -> Ast.t -> Outcome.t -> bool
 
 (** {1 Whole-trace verification} *)
 
-type trace_event =
-  | T_write of string  (** store to a location *)
-  | T_read of string * int option
-      (** load with its decoded reads-from source: the global id of a
-          same-location [T_write], or [None] for the initial value.
-          Global ids number events thread-major: all of thread 0 in
-          program order, then thread 1, … *)
-  | T_fence
-
 type verdict = {
   consistent : bool;
   events : int;
@@ -77,11 +68,43 @@ type verdict = {
   backtracks : int;  (** abandoned search branches *)
 }
 
+type ekind = Write | Read | Fence | Flush
+
+type execution = {
+  locations : string array;  (** dense location id -> name *)
+  thread_start : int array;
+      (** length [threads + 1]: thread [t] owns ids [thread_start.(t)] to
+          [thread_start.(t + 1) - 1], in program order *)
+  kind : ekind array;
+  loc : int array;  (** dense location id; ignored for fences *)
+  rf : int array;
+      (** a read's source: the id of a same-location write, or [-1] for
+          the initial value; ignored for other kinds *)
+}
+(** One concrete execution as flat arrays — the kernel's input, built
+    without boxing an event. *)
+
+val check : Operational.model -> execution -> verdict
+(** Verify one concrete execution against the model's axioms.  Only the
+    coherence orders are solved for.  When no location has writers on
+    more than one thread, they are forced, and the check is two
+    topological passes over static CSR graphs with no vector clocks.
+
+    @raise Invalid_argument if a read's source is not a same-location
+    write. *)
+
+type trace_event =
+  | T_write of string  (** store to a location *)
+  | T_read of string * int option
+      (** load with its decoded reads-from source: the global id of a
+          same-location [T_write], or [None] for the initial value.
+          Global ids number events thread-major: all of thread 0 in
+          program order, then thread 1, … *)
+  | T_fence
+
 val classify_trace : Operational.model -> trace_event array array -> verdict
-(** Verify one concrete execution — typically a whole perpetual-run trace
-    of thousands of events — against the model's axioms.  [threads.(t)]
-    lists thread [t]'s events in program order; reads carry their decoded
-    reads-from source, so only the coherence orders are solved for.
+(** {!check} on a boxed trace: [threads.(t)] lists thread [t]'s events in
+    program order; reads carry their decoded reads-from source.
 
     @raise Invalid_argument if a read's source is not a same-location
     write. *)

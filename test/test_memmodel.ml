@@ -420,6 +420,206 @@ let test_solver_trace_search () =
   let v = Solver.classify_trace Operational.Sc [| t0; t1 |] in
   check Alcotest.bool "pinned race consistent" true v.Solver.consistent
 
+(* --- An independent oracle for trace classification ------------------- *)
+
+(* Small random traces: 2 or 3 threads of 1 to 3 events (at most 9)
+   over two locations, x twice as likely so that writes race on it.
+   Every read is sourced from the initial value or, half the time, from
+   a same-location write anywhere in the trace — own and po-later writes
+   included, so violations arise. *)
+let trace_gen =
+  let open QCheck.Gen in
+  let* shape =
+    list_size (int_range 2 3)
+      (list_size (int_range 1 3)
+         (pair
+            (frequencyl [ (2, `W); (2, `R); (1, `F) ])
+            (oneofl [ "x"; "x"; "y" ])))
+  in
+  let shape = Array.of_list (List.map Array.of_list shape) in
+  let flat = Array.concat (Array.to_list shape) in
+  let writes x =
+    List.filter
+      (fun id -> flat.(id) = (`W, x))
+      (List.init (Array.length flat) Fun.id)
+  in
+  let+ sources =
+    flatten_a
+      (Array.map
+         (fun (k, x) ->
+           match (k, writes x) with
+           | `R, (_ :: _ as ws) ->
+             frequency [ (1, return None); (1, map Option.some (oneofl ws)) ]
+           | _ -> return None)
+         flat)
+  in
+  let id = ref (-1) in
+  Array.map
+    (Array.map (fun (k, x) ->
+         incr id;
+         match k with
+         | `W -> Solver.T_write x
+         | `R -> Solver.T_read (x, sources.(!id))
+         | `F -> Solver.T_fence))
+    shape
+
+let show_trace threads =
+  let id = ref (-1) in
+  Array.to_list threads
+  |> List.map (fun evs ->
+         Array.to_list evs
+         |> List.map (fun ev ->
+                incr id;
+                Printf.sprintf "%d:%s" !id
+                  (match ev with
+                  | Solver.T_write x -> "W" ^ x
+                  | Solver.T_read (x, None) -> "R" ^ x ^ "<-init"
+                  | Solver.T_read (x, Some w) -> Printf.sprintf "R%s<-%d" x w
+                  | Solver.T_fence -> "F"))
+         |> String.concat " ")
+  |> String.concat " || "
+
+let rec permutations = function
+  | [] -> Seq.return []
+  | l ->
+    Seq.flat_map
+      (fun x ->
+        Seq.map (fun p -> x :: p) (permutations (List.filter (( <> ) x) l)))
+      (List.to_seq l)
+
+(* The axioms stated directly over every coherence order: uniproc
+   [po-loc ∪ rf ∪ ws ∪ fr] acyclic, and [po ∪ rf ∪ ws ∪ fr] (SC) or
+   [ppo ∪ fenced ∪ rfe ∪ ws ∪ fr] (TSO, PSO) acyclic, each checked by
+   {!Event_graph.acyclic}.  No solver code is shared. *)
+let oracle_consistent model threads =
+  let evs =
+    Array.concat
+      (Array.to_list
+         (Array.mapi (fun t evs -> Array.map (fun e -> (t, e)) evs) threads))
+  in
+  let n = Array.length evs in
+  let ids = List.init n Fun.id in
+  let thread id = fst evs.(id) and ev id = snd evs.(id) in
+  let loc id =
+    match ev id with
+    | Solver.T_write x | Solver.T_read (x, _) -> Some x
+    | Solver.T_fence -> None
+  in
+  let is_write id = match ev id with Solver.T_write _ -> true | _ -> false in
+  let is_read id = match ev id with Solver.T_read _ -> true | _ -> false in
+  let is_mem id = is_write id || is_read id in
+  let po =
+    List.concat_map
+      (fun a ->
+        List.filter_map
+          (fun b -> if thread a = thread b && a < b then Some (a, b) else None)
+          ids)
+      ids
+  in
+  let po_loc = List.filter (fun (a, b) -> loc a <> None && loc a = loc b) po in
+  let rf =
+    List.filter_map
+      (fun r ->
+        match ev r with Solver.T_read (_, Some w) -> Some (w, r) | _ -> None)
+      ids
+  in
+  let rfe = List.filter (fun (w, r) -> thread w <> thread r) rf in
+  let ppo =
+    List.filter
+      (fun (a, b) ->
+        is_mem a && is_mem b
+        && not
+             ((is_write a && is_read b)
+             || (model = Operational.Pso && is_write a && is_write b
+                && loc a <> loc b)))
+      po
+  in
+  let fenced =
+    List.filter
+      (fun (a, b) ->
+        is_mem a && is_mem b
+        && List.exists
+             (fun f ->
+               ev f = Solver.T_fence && List.mem (a, f) po && List.mem (f, b) po)
+             ids)
+      po
+  in
+  let rec orders = function
+    | [] -> Seq.return []
+    | x :: rest ->
+      let ws = List.filter (fun id -> is_write id && loc id = Some x) ids in
+      Seq.flat_map
+        (fun perm -> Seq.map (fun tl -> (x, perm) :: tl) (orders rest))
+        (permutations ws)
+  in
+  let rec pairs = function
+    | a :: (b :: _ as rest) -> (a, b) :: pairs rest
+    | [ _ ] | [] -> []
+  in
+  let rec after w = function
+    | [] -> []
+    | w' :: rest -> if w' = w then rest else after w rest
+  in
+  let valid co =
+    let ws = List.concat_map (fun (_, perm) -> pairs perm) co in
+    let fr =
+      List.concat_map
+        (fun r ->
+          match ev r with
+          | Solver.T_read (x, src) ->
+            let perm = List.assoc x co in
+            let later = match src with None -> perm | Some w -> after w perm in
+            List.map (fun w -> (r, w)) later
+          | _ -> [])
+        ids
+    in
+    let acyclic edges = Perple_memmodel.Event_graph.acyclic edges n in
+    acyclic (po_loc @ rf @ ws @ fr)
+    &&
+    match model with
+    | Operational.Sc -> acyclic (po @ rf @ ws @ fr)
+    | Operational.Tso | Operational.Pso ->
+      acyclic (ppo @ fenced @ rfe @ ws @ fr)
+  in
+  let locations = List.sort_uniq compare (List.filter_map loc ids) in
+  Seq.exists valid (orders locations)
+
+let trace_oracle_property =
+  QCheck.Test.make ~name:"classify_trace = coherence-enumeration oracle"
+    ~count:10000
+    (QCheck.make ~print:show_trace trace_gen)
+    (fun threads ->
+      List.for_all
+        (fun model ->
+          (Solver.classify_trace model threads).Solver.consistent
+          = oracle_consistent model threads)
+        models)
+
+(* The generator reaches every kernel path: fast-path verdicts both
+   ways, searched verdicts, and violations the multi-writer merge finds
+   (backtracking needs larger traces than the oracle can enumerate). *)
+let test_trace_oracle_coverage () =
+  let sample =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:3000 trace_gen
+  in
+  let verdicts =
+    List.concat_map
+      (fun t -> List.map (fun m -> Solver.classify_trace m t) models)
+      sample
+  in
+  let seen p = List.exists p verdicts in
+  check Alcotest.bool "fast path, consistent" true
+    (seen (fun (v : Solver.verdict) -> v.consistent && v.decisions = 0));
+  check Alcotest.bool "fast path, violation" true
+    (seen (fun (v : Solver.verdict) -> (not v.consistent) && v.decisions = 0));
+  check Alcotest.bool "searched, consistent" true
+    (seen (fun (v : Solver.verdict) -> v.consistent && v.decisions > 0));
+  check Alcotest.bool "coherence conflict while merging writers" true
+    (seen (fun (v : Solver.verdict) ->
+         match v.violation with
+         | Some m -> String.starts_with ~prefix:"no admissible coherence" m
+         | None -> false))
+
 let suite =
   [
     ( "memmodel.operational",
@@ -469,6 +669,9 @@ let suite =
           test_solver_trace_violation;
         Alcotest.test_case "write-race search" `Quick
           test_solver_trace_search;
+        QCheck_alcotest.to_alcotest trace_oracle_property;
+        Alcotest.test_case "oracle sample covers every path" `Quick
+          test_trace_oracle_coverage;
       ] );
     ( "memmodel.pso",
       [

@@ -234,6 +234,44 @@ let test_trace_detects_planted_bugs () =
       (Config.Tso_fence_ignored, "amd5");
     ]
 
+(* A load value names a store iteration, and a writer can have stored
+   only up to the iteration it was in when the run ended.  A value
+   naming a later one is undecodable: before that bound, one corrupted
+   word stretched the trace to whatever iteration it named (millions of
+   events, hundreds of MB) before any axiom was checked. *)
+let test_trace_value_bounded () =
+  let conv, run = perpetual_for Config.default 43 Catalog.sb ~iterations:100 in
+  (* sb: thread 0's only load reads y, whose only store is thread 1's;
+     iteration [i] of that store writes [i + 1]. *)
+  let with_value value =
+    let bufs = Array.map Array.copy run.Perpetual.bufs in
+    bufs.(0).(5) <- value;
+    { run with Perpetual.bufs }
+  in
+  let undecodable (v : Perple_memmodel.Solver.verdict) =
+    match v.violation with
+    | Some m -> String.starts_with ~prefix:"undecodable read" m
+    | None -> false
+  in
+  let verify value =
+    Trace_check.verify ~model:Operational.Tso conv (with_value value)
+  in
+  let v = verify 2_000_001 in
+  check Alcotest.bool "inconsistent" false v.Perple_memmodel.Solver.consistent;
+  check Alcotest.bool "as an undecodable read" true (undecodable v);
+  check Alcotest.int "no trace built" 0 v.Perple_memmodel.Solver.events;
+  check Alcotest.bool "trace_of_run raises" true
+    (match Trace_check.trace_of_run conv (with_value 2_000_001) with
+    | _ -> false
+    | exception Trace_check.Undecodable _ -> true);
+  let retired =
+    run.Perpetual.machine.Perple_sim.Machine.iterations_retired.(1)
+  in
+  check Alcotest.bool "the writer's in-flight iteration decodes" false
+    (undecodable (verify (retired + 1)));
+  check Alcotest.bool "the one after it does not" true
+    (undecodable (verify (retired + 2)))
+
 let suite =
   [
     ( "soundness",
@@ -254,5 +292,7 @@ let suite =
           test_trace_2000_events;
         Alcotest.test_case "planted bugs detected" `Quick
           test_trace_detects_planted_bugs;
+        Alcotest.test_case "load values cannot outgrow the run" `Quick
+          test_trace_value_bounded;
       ] );
   ]
