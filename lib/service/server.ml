@@ -249,22 +249,27 @@ let eof t ~conn:id ~now =
   | None -> ()
   | Some c -> List.iter (on_event t c ~now) (Session.eof c.session ~now)
 
+(* Whether the core would run a local batch now.  Graceful
+   degradation: a coordinator with no connected workers executes
+   locally, exactly like the single-node daemon, so a campaign never
+   waits on a fleet that is not coming back.  With workers connected,
+   pending work is theirs to lease, so this stays false. *)
+let runnable t =
+  (not t.draining)
+  && Scheduler.pending t.scheduler
+  &&
+  match t.coordinator with
+  | None -> true
+  | Some co -> Coordinator.worker_count co = 0
+
 let tick t ~now =
   Hashtbl.iter
     (fun _ c -> List.iter (on_event t c ~now) (Session.tick c.session ~now))
     t.conns;
   (match t.coordinator with
-  | Some co when not t.draining ->
-    dispatch t (Coordinator.tick co ~now);
-    (* Graceful degradation: a coordinator with no connected workers
-       executes locally, exactly like the single-node daemon, so a
-       campaign never waits on a fleet that is not coming back. *)
-    if Coordinator.worker_count co = 0 && Scheduler.pending t.scheduler then
-      ignore (Scheduler.step t.scheduler)
-  | Some _ -> ()
-  | None ->
-    if (not t.draining) && Scheduler.pending t.scheduler then
-      ignore (Scheduler.step t.scheduler));
+  | Some co when not t.draining -> dispatch t (Coordinator.tick co ~now)
+  | _ -> ());
+  if runnable t then ignore (Scheduler.step t.scheduler);
   (* Deterministic streaming order so tests can compare transcripts. *)
   List.iter
     (fun id -> match conn t id with None -> () | Some c -> advance_conn t c)
@@ -284,6 +289,8 @@ let closed t ~conn:id =
 
 let terminal t ~conn:id =
   match conn t id with None -> None | Some c -> Session.terminal c.session
+
+let release t ~conn:id = if closed t ~conn:id then Hashtbl.remove t.conns id
 
 let idle t =
   (not (Scheduler.pending t.scheduler))
@@ -409,6 +416,7 @@ let serve ~socket ?tcp_port ?(jobs = 1) ?session_config ?coordinator ~journal
         let ios : (int, io_conn) Hashtbl.t = Hashtbl.create 8 in
         let close_io id io =
           Hashtbl.remove ios id;
+          release core ~conn:id;
           try Unix.close io.fd with Unix.Unix_error _ -> ()
         in
         let accept_on lfd =
@@ -484,7 +492,11 @@ let serve ~socket ?tcp_port ?(jobs = 1) ?session_config ?coordinator ~journal
                   if Framed.is_empty io.out then acc else io.fd :: acc)
                 ios []
             in
-            (match Unix.select (listeners @ conn_fds) writers [] 0.05 with
+            (* Event-driven turns: never sleep while the core has a
+               batch it could run now; otherwise wake on I/O or after
+               the idle tick that drives heartbeats and lease expiry. *)
+            let timeout = if runnable core then 0. else 0.05 in
+            (match Unix.select (listeners @ conn_fds) writers [] timeout with
             | readable, _, _ ->
               List.iter
                 (fun lfd -> if List.mem lfd readable then accept_on lfd)

@@ -39,9 +39,20 @@ val input : t -> conn:int -> now:int -> string -> unit
 val eof : t -> conn:int -> now:int -> unit
 
 val tick : t -> now:int -> unit
-(** One turn of the daemon: advance session clocks, run at most one
-    scheduler batch if work is pending, stream newly available records
-    to subscribed connections (respecting backpressure). *)
+(** One turn of the daemon: advance session clocks, run the
+    coordinator's lease bookkeeping, run at most one scheduler batch if
+    {!runnable} holds, stream newly available records to subscribed
+    connections (respecting backpressure).  One batch per turn keeps
+    client I/O interleaved between batches and bounds what a [kill -9]
+    can lose to one batch. *)
+
+val runnable : t -> bool
+(** The next {!tick} would run a local scheduler batch: the daemon is
+    not draining, some campaign has unexecuted runs, and there is
+    either no coordinator or a coordinator with no connected workers
+    (graceful degradation).  False while connected workers hold the
+    pending work, so a driver may poll with a zero timeout exactly when
+    this holds without busy-waiting on a fleet. *)
 
 val flush : t -> conn:int -> string
 (** Take the connection's pending outbound bytes (empty if none). *)
@@ -51,7 +62,15 @@ val closed : t -> conn:int -> bool
     the driver should close the transport. *)
 
 val terminal : t -> conn:int -> Session.terminal option
+
+val release : t -> conn:int -> unit
+(** Forget a connection once it is {!closed}: its session, buffers and
+    subscriptions are dropped, so later turns neither tick nor stream
+    to it and its id leaves {!connections}.  A no-op for a connection
+    that is not closed yet. *)
+
 val connections : t -> int list
+(** Ids of the connections not yet released, in ascending order. *)
 
 val drain : t -> now:int -> unit
 (** Begin shutdown: journal the ["draining"] marker, notify every live
@@ -80,7 +99,11 @@ val serve :
     file, the scheduler resumes it — the daemon restart contract needs
     no flag.  With [coordinator], the daemon also accepts workers and
     shards campaigns into leases, falling back to local execution
-    whenever no worker is connected.  Blocks until SIGINT or SIGTERM,
+    whenever no worker is connected.  Each loop turn waits in [select]
+    with a zero timeout exactly when {!runnable} holds, and otherwise up
+    to a 50 ms idle tick (heartbeats, lease deadlines), so a campaign
+    never sleeps between its batches; a transport is {!release}d from
+    the core as soon as it closes.  Blocks until SIGINT or SIGTERM,
     then drains (marker journaled, sessions notified, outputs flushed)
     and returns the signal number for the caller to turn into exit
     130/143. *)

@@ -548,6 +548,55 @@ let test_disconnect_reassigns () =
     (l'.lv_epoch > l.lv_epoch);
   Scheduler.close sched
 
+(* --- event-driven turns -------------------------------------------------------- *)
+
+(* [Server.runnable] is what lets the select loop poll with a zero
+   timeout, so it must hold exactly when a tick would run a local batch:
+   true for pending work on a plain daemon or a worker-less coordinator,
+   false once draining or while a connected worker holds the lease —
+   otherwise the daemon would busy-loop waiting on its fleet. *)
+let test_runnable_predicate () =
+  let sp = spec ~campaign:"turns" ~runs:6 () in
+  let done_ sched = Scheduler.completed sched ~campaign:"turns" in
+  let idle_tick what server sched ~now =
+    check Alcotest.bool (what ^ ": not runnable") false (Server.runnable server);
+    let before = done_ sched in
+    Server.tick server ~now;
+    check Alcotest.int (what ^ ": tick executes nothing") before (done_ sched)
+  in
+  (* A plain daemon with pending work, then drained. *)
+  let sched = Result.get_ok (Scheduler.create ~journal:None ()) in
+  ignore (Result.get_ok (Scheduler.submit sched sp));
+  let server = Server.create ~session_config:fast_session ~scheduler:sched () in
+  check Alcotest.bool "plain daemon with pending work is runnable" true
+    (Server.runnable server);
+  Server.drain server ~now:0;
+  idle_tick "draining daemon" server sched ~now:1;
+  Scheduler.close sched;
+  (* A coordinator with no workers degrades to local execution. *)
+  let sched, co = make_co ~sp () in
+  let server =
+    Server.create ~session_config:fast_session ~coordinator:co ~scheduler:sched
+      ()
+  in
+  check Alcotest.bool "worker-less coordinator is runnable" true
+    (Server.runnable server);
+  Server.tick server ~now:0;
+  check Alcotest.bool "worker-less coordinator executes locally" true
+    (done_ sched > 0);
+  (* A worker joins and takes a lease: the pending work is the fleet's. *)
+  let conn = Server.connect server ~now:1 in
+  let w = Worker.create ~config:fast_worker ~name:"w" ~now:1 () in
+  Server.input server ~conn ~now:1 (Framed.take_all (Worker.output w));
+  Server.tick server ~now:2;
+  Worker.input w ~now:2 (Server.flush server ~conn);
+  let _, leased, _ = Coordinator.shard_counts co ~campaign:"turns" in
+  check Alcotest.int "the worker holds a lease" 1 leased;
+  check Alcotest.bool "work is still pending" true (Scheduler.pending sched);
+  check Alcotest.bool "the worker accepted it" true (Worker.task w <> None);
+  idle_tick "coordinator with a leasing worker" server sched ~now:3;
+  Scheduler.close sched
+
 (* --- fairness ----------------------------------------------------------------- *)
 
 (* Satellite: the scheduler interleaves runnable campaigns round-robin
@@ -756,6 +805,8 @@ let suite =
           test_coordinator_kill_resume_epochs;
         Alcotest.test_case "disconnect reassigns the shard" `Quick
           test_disconnect_reassigns;
+        Alcotest.test_case "runnable predicate never spins on a fleet" `Quick
+          test_runnable_predicate;
       ] );
     ( "coordinator.fairness",
       [

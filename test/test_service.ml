@@ -598,6 +598,47 @@ let test_server_happy_path () =
     (Server.terminal server ~conn = Some Session.Completed);
   Scheduler.close sched
 
+(* Closed connections leave the core: after N completed sessions are
+   released, no session, buffer or subscription is left for a turn to
+   tick or stream to.  A connection that is still open is never
+   released. *)
+let test_server_releases_closed_connections () =
+  let sched = Result.get_ok (Scheduler.create ~jobs:2 ~journal:None ()) in
+  let server = Server.create ~session_config:fast_session ~scheduler:sched () in
+  let conns =
+    List.init 4 (fun i ->
+        let sp = spec ~campaign:(Printf.sprintf "rel%d" i) ~runs:2 () in
+        let conn = Server.connect server ~now:0 in
+        let client = Client.create ~config:fast_client ~spec:sp ~now:0 () in
+        (match drive server conn client with
+        | Client.Done _ -> ()
+        | _ -> Alcotest.failf "session %d did not complete" i);
+        ignore (Server.flush server ~conn);
+        check Alcotest.bool "completed session is closed" true
+          (Server.closed server ~conn);
+        conn)
+  in
+  let live = Server.connect server ~now:0 in
+  Server.release server ~conn:live;
+  check Alcotest.bool "an open connection is not released" true
+    (List.mem live (Server.connections server));
+  Server.eof server ~conn:live ~now:0;
+  ignore (Server.flush server ~conn:live);
+  List.iter (fun conn -> Server.release server ~conn) (live :: conns);
+  check Alcotest.(list int) "released connections are gone" []
+    (Server.connections server);
+  (* A turn long past every liveness deadline touches no session. *)
+  Server.tick server ~now:100_000;
+  List.iter
+    (fun conn ->
+      check Alcotest.string "no output for a released connection" ""
+        (Server.flush server ~conn);
+      check Alcotest.bool "no session state remains" true
+        (Server.terminal server ~conn = None))
+    (live :: conns);
+  check Alcotest.bool "the core is idle" true (Server.idle server);
+  Scheduler.close sched
+
 let test_server_rejects_bad_spec () =
   let sched = Result.get_ok (Scheduler.create ~journal:None ()) in
   let server = Server.create ~session_config:fast_session ~scheduler:sched () in
@@ -901,7 +942,9 @@ let read_file path =
   close_in ic;
   text
 
-let test_daemon_end_to_end () =
+(* Spawn [perple serve --socket SOCK ARGS] in a fresh scratch directory
+   and run [f] against it; the daemon is SIGKILLed when [f] returns. *)
+let with_daemon ~args f =
   match Lazy.force binary with
   | None -> () (* binary not built in this context; CI smoke covers it *)
   | Some bin ->
@@ -912,11 +955,9 @@ let test_daemon_end_to_end () =
     in
     (* Unix socket paths are capped around 104 bytes; keep it short. *)
     let sock = Filename.concat scratch "e2e.sock" in
-    let journal = in_scratch "e2e.journal" in
     let serve_cmd =
-      Printf.sprintf
-        "%s serve --socket %s --journal %s --jobs 2 > %s 2>&1 & echo $! > %s"
-        (Filename.quote bin) (Filename.quote sock) (Filename.quote journal)
+      Printf.sprintf "%s serve --socket %s %s > %s 2>&1 & echo $! > %s"
+        (Filename.quote bin) (Filename.quote sock) args
         (Filename.quote (in_scratch "serve.log"))
         (Filename.quote (in_scratch "serve.pid"))
     in
@@ -933,44 +974,92 @@ let test_daemon_end_to_end () =
     let pid = int_of_string (String.trim (read_file (in_scratch "serve.pid"))) in
     Fun.protect ~finally:(fun () ->
         try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-    @@ fun () ->
-    let submit out =
-      Sys.command
-        (Printf.sprintf
-           "%s submit e2e podwr000 --socket %s --runs 3 --iterations 500 > %s \
-            2> %s"
-           (Filename.quote bin) (Filename.quote sock)
-           (Filename.quote (in_scratch out))
-           (Filename.quote (in_scratch (out ^ ".err"))))
+    @@ fun () -> f ~bin ~sock ~pid
+
+let test_daemon_end_to_end () =
+  let journal = in_scratch "e2e.journal" in
+  with_daemon ~args:("--journal " ^ Filename.quote journal ^ " --jobs 2")
+  @@ fun ~bin ~sock ~pid ->
+  let submit out =
+    Sys.command
+      (Printf.sprintf
+         "%s submit e2e podwr000 --socket %s --runs 3 --iterations 500 > %s \
+          2> %s"
+         (Filename.quote bin) (Filename.quote sock)
+         (Filename.quote (in_scratch out))
+         (Filename.quote (in_scratch (out ^ ".err"))))
+  in
+  if submit "first.stream" <> 0 then
+    Alcotest.failf "first submit failed:\n%s"
+      (read_file (in_scratch "first.stream.err"));
+  if submit "second.stream" <> 0 then
+    Alcotest.failf "resubmit failed:\n%s"
+      (read_file (in_scratch "second.stream.err"));
+  check Alcotest.string "daemon re-streams byte-identically"
+    (read_file (in_scratch "first.stream"))
+    (read_file (in_scratch "second.stream"));
+  check Alcotest.bool "stream carries records and metrics" true
+    (let text = read_file (in_scratch "first.stream") in
+     String.length text > 0
+     && List.length (String.split_on_char '\n' text) >= 4);
+  (* SIGTERM drains: socket gone, draining marker journaled. *)
+  Unix.kill pid Sys.sigterm;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Sys.file_exists sock && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.05
+  done;
+  if Sys.file_exists sock then Alcotest.fail "daemon did not drain on SIGTERM";
+  match Journal.load journal with
+  | Error m -> Alcotest.failf "drained journal unreadable: %s" m
+  | Ok r ->
+    check Alcotest.int "drained journal undamaged" 0 r.Journal.dropped_bytes;
+    check Alcotest.bool "draining marker present" true
+      (List.exists
+         (fun j -> Json.member "kind" j = Some (Json.String "draining"))
+         r.Journal.records)
+
+(* The daemon's turns are event-driven: a campaign of 12 one-run
+   batches (--jobs 1) runs them back to back instead of sleeping out an
+   idle tick (50 ms) between batches, which alone would take 550 ms —
+   and an idle daemon does not spin. *)
+let test_daemon_runs_batches_back_to_back () =
+  with_daemon ~args:"--jobs 1" @@ fun ~bin ~sock ~pid ->
+  let out = in_scratch "turns.stream" in
+  let started = Unix.gettimeofday () in
+  let rc =
+    Sys.command
+      (Printf.sprintf
+         "%s submit turns sb --socket %s --runs 12 --iterations 200 > %s 2> %s"
+         (Filename.quote bin) (Filename.quote sock) (Filename.quote out)
+         (Filename.quote (out ^ ".err")))
+  in
+  let wall_ms = (Unix.gettimeofday () -. started) *. 1000. in
+  if rc <> 0 then Alcotest.failf "submit failed:\n%s" (read_file (out ^ ".err"));
+  check Alcotest.bool "stream carries 12 records and metrics" true
+    (List.length (String.split_on_char '\n' (read_file out)) >= 13);
+  if wall_ms > 300. then
+    Alcotest.failf "12 batches took %.0f ms: the daemon waited between them"
+      wall_ms;
+  (* utime + stime, fields 14 and 15 of /proc/PID/stat, counted in
+     USER_HZ = 100 ticks per second; the fields after the parenthesised
+     command name start at field 3. *)
+  let stat = Printf.sprintf "/proc/%d/stat" pid in
+  if Sys.file_exists stat then begin
+    let cpu_ticks () =
+      let text = In_channel.with_open_bin stat In_channel.input_all in
+      let after = String.rindex text ')' + 2 in
+      let fields =
+        String.split_on_char ' '
+          (String.sub text after (String.length text - after))
+      in
+      int_of_string (List.nth fields 11) + int_of_string (List.nth fields 12)
     in
-    if submit "first.stream" <> 0 then
-      Alcotest.failf "first submit failed:\n%s"
-        (read_file (in_scratch "first.stream.err"));
-    if submit "second.stream" <> 0 then
-      Alcotest.failf "resubmit failed:\n%s"
-        (read_file (in_scratch "second.stream.err"));
-    check Alcotest.string "daemon re-streams byte-identically"
-      (read_file (in_scratch "first.stream"))
-      (read_file (in_scratch "second.stream"));
-    check Alcotest.bool "stream carries records and metrics" true
-      (let text = read_file (in_scratch "first.stream") in
-       String.length text > 0
-       && List.length (String.split_on_char '\n' text) >= 4);
-    (* SIGTERM drains: socket gone, draining marker journaled. *)
-    Unix.kill pid Sys.sigterm;
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    while Sys.file_exists sock && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.05
-    done;
-    if Sys.file_exists sock then Alcotest.fail "daemon did not drain on SIGTERM";
-    match Journal.load journal with
-    | Error m -> Alcotest.failf "drained journal unreadable: %s" m
-    | Ok r ->
-      check Alcotest.int "drained journal undamaged" 0 r.Journal.dropped_bytes;
-      check Alcotest.bool "draining marker present" true
-        (List.exists
-           (fun j -> Json.member "kind" j = Some (Json.String "draining"))
-           r.Journal.records)
+    let before = cpu_ticks () in
+    Unix.sleepf 1.0;
+    let used_ms = (cpu_ticks () - before) * 10 in
+    if used_ms >= 100 then
+      Alcotest.failf "idle daemon burned %d ms of CPU in 1 s: it spins" used_ms
+  end
 
 (* --- suite ------------------------------------------------------------------- *)
 
@@ -1013,6 +1102,8 @@ let suite =
       [
         Alcotest.test_case "happy path streams the reference" `Quick
           test_server_happy_path;
+        Alcotest.test_case "releases closed connections" `Quick
+          test_server_releases_closed_connections;
         Alcotest.test_case "rejects bad specs" `Quick
           test_server_rejects_bad_spec;
         Alcotest.test_case "drain refuses submissions" `Quick
@@ -1038,5 +1129,7 @@ let suite =
       [
         Alcotest.test_case "end-to-end over a unix socket" `Slow
           test_daemon_end_to_end;
+        Alcotest.test_case "batches run back to back, idle never spins" `Slow
+          test_daemon_runs_batches_back_to_back;
       ] );
   ]
