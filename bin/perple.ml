@@ -195,8 +195,7 @@ let resume_arg =
 
 type 'a campaign_journal = {
   cj_completed : (int, 'a) Hashtbl.t;
-  cj_journal : Journal.t option;
-  cj_path : string option;
+  cj_journal : (Journal.t * string) option;  (** Open journal, its path. *)
 }
 
 let journal_errors f =
@@ -289,50 +288,8 @@ let ingest_journal ~path ~command ~digest ~runs ~what ~record_kind
           let j = Journal.open_append path in
           Printf.eprintf "perple: resuming: %d of %d %s journaled in %s\n%!"
             (Hashtbl.length completed) runs what path;
-          Ok
-            {
-              cj_completed = completed;
-              cj_journal = Some j;
-              cj_path = Some path;
-            }
+          Ok { cj_completed = completed; cj_journal = Some (j, path) }
       end)
-
-let open_campaign_journal ~journal ~resume ~command ~digest ~runs ~what
-    ~record_kind ~of_record ~to_record ~index_of ~validate =
-  match (journal, resume) with
-  | None, true -> Error resume_requires_journal
-  | None, false ->
-    Ok
-      {
-        cj_completed = Hashtbl.create 1;
-        cj_journal = None;
-        cj_path = None;
-      }
-  | Some path, false ->
-    if Sys.file_exists path then
-      fail
-        "journal %s already exists; pass --resume to continue it or remove \
-         it first"
-        path
-    else
-      journal_errors @@ fun () ->
-      let j = Journal.create path in
-      Journal.append j
-        (Ledger.header_to_json
-           { Ledger.h_command = command; h_digest = digest; h_runs = runs });
-      Ok
-        {
-          cj_completed = Hashtbl.create 16;
-          cj_journal = Some j;
-          cj_path = Some path;
-        }
-  | Some path, true -> (
-    journal_errors @@ fun () ->
-    match Journal.load path with
-    | Error m -> fail "cannot resume: %s" m
-    | Ok recovery ->
-      ingest_journal ~path ~command ~digest ~runs ~what ~record_kind
-        ~of_record ~to_record ~index_of ~validate recovery)
 
 (* Resume replays the metrics of journaled runs instead of re-executing
    them; additions are commutative, so merging them up front keeps the
@@ -355,8 +312,8 @@ let merge_journaled_metrics cj =
    marker (via the handler-safe {!Journal.try_append}) and point at
    --resume; completed runs are already on disk, fsync'd. *)
 let with_journal_signals cj ~runs ~what ~journaled f =
-  match (cj.cj_journal, cj.cj_path) with
-  | Some j, Some path ->
+  match cj.cj_journal with
+  | Some (j, path) ->
     let handler signum =
       ignore (Journal.try_append j Ledger.interrupted_marker);
       Printf.eprintf
@@ -376,11 +333,67 @@ let with_journal_signals cj ~runs ~what ~journaled f =
         Sys.set_signal Sys.sigterm old_term;
         Journal.close j)
       f
-  | _ -> f ()
+  | None -> f ()
 
-(* The shared campaign driver: open/resume the journal, skip journaled
-   runs, journal each retiring run, and return one summary per run —
-   journaled or freshly computed — for the printers. *)
+(* The shared campaign driver, generic over the record kind (a run's
+   ledger summary, a crash point's record): open/resume the journal,
+   skip journaled units, journal each retiring one under the
+   SIGINT/SIGTERM handlers, and return one record per unit — journaled
+   or freshly computed — for the printers.  [prepare] runs once the
+   journal is open, before anything executes. *)
+let campaign_records ~journal ~resume ~command ~digest ~runs ~what
+    ~record_kind ~of_record ~to_record ~index_of ~validate
+    ?(prepare = fun _ -> Ok ()) ~execute () =
+  let opened =
+    match (journal, resume) with
+    | None, true -> Error resume_requires_journal
+    | None, false ->
+      Ok { cj_completed = Hashtbl.create 1; cj_journal = None }
+    | Some path, false ->
+      if Sys.file_exists path then
+        fail
+          "journal %s already exists; pass --resume to continue it or remove \
+           it first"
+          path
+      else
+        journal_errors @@ fun () ->
+        let j = Journal.create path in
+        Journal.append j
+          (Ledger.header_to_json
+             { Ledger.h_command = command; h_digest = digest; h_runs = runs });
+        Ok { cj_completed = Hashtbl.create 16; cj_journal = Some (j, path) }
+    | Some path, true -> (
+      journal_errors @@ fun () ->
+      match Journal.load path with
+      | Error m -> fail "cannot resume: %s" m
+      | Ok recovery ->
+        ingest_journal ~path ~command ~digest ~runs ~what ~record_kind
+          ~of_record ~to_record ~index_of ~validate recovery)
+  in
+  Result.bind opened @@ fun cj ->
+  Result.bind (prepare cj) @@ fun () ->
+  let journaled = ref (Hashtbl.length cj.cj_completed) in
+  let on_record =
+    Option.map
+      (fun (j, _) r ->
+        Journal.append j (to_record r);
+        incr journaled)
+      cj.cj_journal
+  in
+  let skip i = Hashtbl.mem cj.cj_completed i in
+  Result.map
+    (fun computed ->
+      Array.init runs (fun i ->
+          match computed.(i) with
+          | Some r -> r
+          | None -> Hashtbl.find cj.cj_completed i))
+    (journal_errors (fun () ->
+         with_journal_signals cj ~runs ~what ~journaled (fun () ->
+             execute ~skip ~on_record)))
+
+(* [campaign_records] for seeded engine runs (run, supervise): journaled
+   seeds must match the pre-split, and journaled metrics are replayed
+   into the --metrics sink. *)
 let campaign_summaries ~journal ~resume ~command ~digest ~runs ~seed ~execute
     =
   let seeds = Engine.campaign_seeds ~runs ~seed in
@@ -392,42 +405,16 @@ let campaign_summaries ~journal ~resume ~command ~digest ~runs ~seed ~execute
         i s.Ledger.seed seeds.(i)
     else Ok ()
   in
-  Result.bind
-    (open_campaign_journal ~journal ~resume ~command ~digest ~runs
-       ~what:"runs" ~record_kind:"run" ~of_record:Ledger.of_json
-       ~to_record:Ledger.to_json
-       ~index_of:(fun (s : Ledger.t) -> s.Ledger.index)
-       ~validate)
-  @@ fun cj ->
-  Result.bind (merge_journaled_metrics cj) @@ fun () ->
-  let journaled = ref (Hashtbl.length cj.cj_completed) in
-  let on_entry =
-    match cj.cj_journal with
-    | None -> None
-    | Some j ->
-      Some
-        (fun entry ->
-          Journal.append j (Ledger.to_json (Ledger.of_entry entry));
-          incr journaled)
-  in
-  let skip i = Hashtbl.mem cj.cj_completed i in
-  match
-    journal_errors (fun () ->
-        Result.map_error
-          (fun r -> Format.asprintf "%a" Convert.pp_reason r)
-          (with_journal_signals cj ~runs ~what:"runs" ~journaled (fun () ->
-               execute ~skip ~on_entry)))
-  with
-  | Error _ as e -> e
-  | Ok entries ->
-    Ok
-      (Array.init runs (fun i ->
-           match entries.(i) with
-           | Some e -> Ledger.of_entry e
-           | None -> (
-             match Hashtbl.find_opt cj.cj_completed i with
-             | Some s -> s
-             | None -> assert false)))
+  campaign_records ~journal ~resume ~command ~digest ~runs ~what:"runs"
+    ~record_kind:"run" ~of_record:Ledger.of_json ~to_record:Ledger.to_json
+    ~index_of:(fun (s : Ledger.t) -> s.Ledger.index)
+    ~validate ~prepare:merge_journaled_metrics
+    ~execute:(fun ~skip ~on_record ->
+      let on_entry = Option.map (fun f e -> f (Ledger.of_entry e)) on_record in
+      match execute ~skip ~on_entry with
+      | Error r -> Error (Format.asprintf "%a" Convert.pp_reason r)
+      | Ok entries -> Ok (Array.map (Option.map Ledger.of_entry) entries))
+    ()
 
 (* --- list ---------------------------------------------------------------- *)
 
@@ -1250,40 +1237,16 @@ let crash_suite_cmd =
           ]
       in
       Result.bind
-        (open_campaign_journal ~journal ~resume ~command:"crash-suite"
-           ~digest ~runs:points ~what:"crash points" ~record_kind:"point"
+        (campaign_records ~journal ~resume ~command:"crash-suite" ~digest
+           ~runs:points ~what:"crash points" ~record_kind:"point"
            ~of_record:Crash_suite.of_json ~to_record:Crash_suite.to_json
            ~index_of:(fun (r : Crash_suite.record) -> r.Crash_suite.point)
-           ~validate:(fun _ _ -> Ok ()))
-      @@ fun cj ->
-      let journaled = ref (Hashtbl.length cj.cj_completed) in
-      let on_record =
-        match cj.cj_journal with
-        | None -> None
-        | Some j ->
-          Some
-            (fun r ->
-              Journal.append j (Crash_suite.to_json r);
-              incr journaled)
-      in
-      let skip p = Hashtbl.mem cj.cj_completed p in
-      Result.bind
-        (journal_errors (fun () ->
+           ~validate:(fun _ _ -> Ok ())
+           ~execute:(fun ~skip ~on_record ->
              Ok
-               (with_journal_signals cj ~runs:points ~what:"crash points"
-                  ~journaled (fun () ->
-                    Crash_suite.evaluate ~jobs ~skip ?on_record ~persistency
-                      test))))
-      @@ fun computed ->
-      let records =
-        Array.init points (fun p ->
-            match computed.(p) with
-            | Some r -> r
-            | None -> (
-              match Hashtbl.find_opt cj.cj_completed p with
-              | Some r -> r
-              | None -> assert false))
-      in
+               (Crash_suite.evaluate ~jobs ~skip ?on_record ~persistency test))
+           ())
+      @@ fun records ->
       print_suite ~test ~persistency ~crosscheck records;
       Ok ()
   in
@@ -1616,17 +1579,19 @@ let serve_cmd =
       & info [ "coordinator" ]
           ~doc:
             "Shard campaigns into leased work units and farm them out to \
-             $(b,perple worker) processes (falling back to local execution \
-             while no worker is connected).  Leases that miss their renewal \
-             deadline are revoked and reassigned; the merged ledger stays \
-             byte-identical to a single-node run.")
+             $(b,perple worker) processes (the daemon's own pool claims \
+             shards while no worker is connected).  Leases that miss their \
+             renewal deadline are revoked and reassigned; the merged ledger \
+             stays byte-identical to a single-node run.")
   in
   let shard_runs_arg =
     Arg.(
       value
       & opt int Perple_service.Coordinator.default_config.shard_runs
       & info [ "shard-runs" ] ~docv:"N"
-          ~doc:"Runs per leased shard (with $(b,--coordinator)).")
+          ~doc:
+            "Runs per shard (with $(b,--coordinator)): the size of a leased \
+             work unit and of each claim the daemon's own pool makes.")
   in
   let lease_ms_arg =
     Arg.(
@@ -1679,13 +1644,15 @@ let serve_cmd =
       | Ok signum ->
         Printf.eprintf
           "\nperpled: %s: drained, journal flushed\nperpled: resume with: \
-           perple serve --socket %s%s%s\n%!"
+           perple serve --socket %s%s%s%s\n%!"
           (if signum = Sys.sigint then "interrupted" else "terminated")
           socket
           (match journal with
           | None -> ""
           | Some path -> " --journal " ^ Filename.quote path)
-          (if jobs = 1 then "" else Printf.sprintf " --jobs %d" jobs);
+          (if jobs = 1 then "" else Printf.sprintf " --jobs %d" jobs)
+          (if coordinator = None then ""
+           else Printf.sprintf " --coordinator --shard-runs %d" shard_runs);
         (* Exit the standard interrupted codes so scripts and the CI
            smoke job can tell a drain from a crash; observability files
            were already written by [with_observability]. *)

@@ -3,6 +3,8 @@ module Perpetual = Perple_harness.Perpetual
 module Supervisor = Perple_harness.Supervisor
 module Machine = Perple_sim.Machine
 module Rng = Perple_util.Rng
+module Metrics = Perple_util.Metrics
+module Trace = Perple_util.Trace_event
 
 type counter = Exhaustive | Exhaustive_reference | Heuristic
 

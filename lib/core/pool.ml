@@ -15,6 +15,9 @@
    parked on a condition variable between batches; dispatch is one
    broadcast plus chunked index claiming off a single atomic counter. *)
 
+module Metrics = Perple_util.Metrics
+module Trace = Perple_util.Trace_event
+
 let available_domains () = Domain.recommended_domain_count ()
 
 (* The OCaml runtime supports a bounded number of live domains; stay well

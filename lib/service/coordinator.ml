@@ -1,4 +1,5 @@
-(* Lease-based sharding of campaigns over remote workers.
+(* Lease-based sharding of campaigns: the one planner for remote workers
+   and the daemon's own pool.
 
    Sans-IO, like Session: the server core feeds it worker events and a
    clock, and reads back (worker, frame) commands to deliver.  All
@@ -67,43 +68,48 @@ type t = {
       (** Workers that missed a deadline: no new lease until they show
           protocol traffic again (or the cooldown passes), so a wedged
           worker does not burn one shard attempt per lease period. *)
-  mutable rr : int;  (** Round-robin cursor over campaign order. *)
+  mutable order : campaign array;  (** [campaigns] in submit order. *)
+  mutable rr : int;  (** Round-robin cursor into [order]. *)
 }
 
 type command = { target : int; frame : Wire.frame }
 
 let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
 
+let revoke ~target ~campaign ~shard ~epoch ~reason =
+  { target; frame = Wire.Revoke { campaign; shard; epoch; reason } }
+
+let missing t id sh =
+  List.filter
+    (fun i -> Scheduler.record t.scheduler ~campaign:id ~index:i = None)
+    (List.init (sh.s_hi - sh.s_lo) (fun k -> sh.s_lo + k))
+
 (* --- journal records -------------------------------------------------------- *)
 
-let lease_record ~campaign ~shard ~epoch ~worker =
-  Json.Obj
-    [
-      ("kind", Json.String "lease");
-      ("campaign", Json.String campaign);
-      ("shard", Json.Int shard);
-      ("epoch", Json.Int epoch);
-      ("worker", Json.String worker);
-    ]
+(* A shard index means other runs under another shard size, so records
+   also carry the run range, checked on resume. *)
+let shard_fields ~campaign sh =
+  [
+    ("campaign", Json.String campaign);
+    ("shard", Json.Int sh.s_index);
+    ("lo", Json.Int sh.s_lo);
+    ("hi", Json.Int sh.s_hi);
+  ]
 
-let revoke_record ~campaign ~shard ~epoch ~reason =
+let lease_record ~campaign sh ~epoch ~worker =
   Json.Obj
-    [
-      ("kind", Json.String "revoke");
-      ("campaign", Json.String campaign);
-      ("shard", Json.Int shard);
-      ("epoch", Json.Int epoch);
-      ("reason", Json.String reason);
-    ]
+    ((("kind", Json.String "lease") :: shard_fields ~campaign sh)
+    @ [ ("epoch", Json.Int epoch); ("worker", Json.String worker) ])
 
-let dead_record ~campaign ~shard ~reason =
+let revoke_record ~campaign sh ~epoch ~reason =
   Json.Obj
-    [
-      ("kind", Json.String "shard-dead");
-      ("campaign", Json.String campaign);
-      ("shard", Json.Int shard);
-      ("reason", Json.String reason);
-    ]
+    ((("kind", Json.String "revoke") :: shard_fields ~campaign sh)
+    @ [ ("epoch", Json.Int epoch); ("reason", Json.String reason) ])
+
+let dead_record ~campaign sh ~reason =
+  Json.Obj
+    ((("kind", Json.String "shard-dead") :: shard_fields ~campaign sh)
+    @ [ ("reason", Json.String reason) ])
 
 let str_field name j =
   match Json.member name j with
@@ -148,12 +154,14 @@ let unrecoverable_entry ~index ~seed ~reason =
 
 let complete_dead t camp sh ~reason =
   sh.s_state <- Dead;
-  match Scheduler.seeds_of t.scheduler ~campaign:camp.c_id with
+  match Scheduler.spec_of t.scheduler ~campaign:camp.c_id with
   | None -> ()
-  | Some seeds ->
+  | Some (_, r) ->
     for i = sh.s_lo to sh.s_hi - 1 do
       if Scheduler.record t.scheduler ~campaign:camp.c_id ~index:i = None then begin
-        let entry = unrecoverable_entry ~index:i ~seed:seeds.(i) ~reason in
+        let entry =
+          unrecoverable_entry ~index:i ~seed:r.Scheduler.r_seeds.(i) ~reason
+        in
         match
           Scheduler.record_external t.scheduler ~campaign:camp.c_id
             ~line:(Ledger.record_line entry)
@@ -166,7 +174,7 @@ let complete_dead t camp sh ~reason =
 let kill_shard t camp sh ~reason =
   Metrics.incr "coordinator.shards_abandoned";
   Scheduler.append_extra t.scheduler
-    (dead_record ~campaign:camp.c_id ~shard:sh.s_index ~reason);
+    (dead_record ~campaign:camp.c_id sh ~reason);
   complete_dead t camp sh ~reason
 
 (* --- lease lifecycle -------------------------------------------------------- *)
@@ -191,7 +199,7 @@ let unlease t sh =
 let release t camp sh ~now ~epoch ~reason =
   unlease t sh;
   Scheduler.append_extra t.scheduler
-    (revoke_record ~campaign:camp.c_id ~shard:sh.s_index ~epoch ~reason);
+    (revoke_record ~campaign:camp.c_id sh ~epoch ~reason);
   Metrics.incr "coordinator.leases_revoked";
   sh.s_attempts <- sh.s_attempts + 1;
   sh.s_eligible_at <- now + sh.s_delay;
@@ -207,7 +215,7 @@ let release t camp sh ~now ~epoch ~reason =
 let revoke_blameless t camp sh ~epoch ~reason =
   unlease t sh;
   Scheduler.append_extra t.scheduler
-    (revoke_record ~campaign:camp.c_id ~shard:sh.s_index ~epoch ~reason);
+    (revoke_record ~campaign:camp.c_id sh ~epoch ~reason);
   Metrics.incr "coordinator.leases_revoked"
 
 (* --- campaign discovery ----------------------------------------------------- *)
@@ -237,12 +245,20 @@ let shards_for t id =
           s_delay = t.config.retry_delay;
         })
 
+(* Campaigns are only ever appended, so the ids past [order]'s length
+   are the new ones.  Costs a walk of the id list per call. *)
 let sync_campaigns t =
-  List.iter
-    (fun id ->
-      if not (Hashtbl.mem t.campaigns id) then
-        Hashtbl.replace t.campaigns id { c_id = id; c_shards = shards_for t id })
-    (Scheduler.campaign_ids t.scheduler)
+  let ids = Scheduler.campaign_ids t.scheduler in
+  let known = Array.length t.order in
+  if List.length ids > known then
+    let fresh =
+      List.filteri (fun i _ -> i >= known) ids
+      |> List.map (fun id ->
+             let camp = { c_id = id; c_shards = shards_for t id } in
+             Hashtbl.replace t.campaigns id camp;
+             camp)
+    in
+    t.order <- Array.append t.order (Array.of_list fresh)
 
 let find_shard t campaign shard =
   match Hashtbl.find_opt t.campaigns campaign with
@@ -253,41 +269,47 @@ let find_shard t campaign shard =
 
 (* --- construction / resume -------------------------------------------------- *)
 
+(* The shard a journal record names, if this table has it with the same
+   range.  Records from before ranges were journaled are taken by index. *)
+let journaled_shard t kind j =
+  let ( let* ) = Result.bind in
+  let* campaign = str_field "campaign" j in
+  let* shard = int_field "shard" j in
+  let range = (Json.member "lo" j, Json.member "hi" j) in
+  match find_shard t campaign shard with
+  | Some (camp, sh)
+    when range = (None, None)
+         || range = (Some (Json.Int sh.s_lo), Some (Json.Int sh.s_hi)) ->
+    Ok (camp, sh)
+  | _ ->
+    fail
+      "journal: %s for shard %s/%d does not match this daemon's %d-run \
+       shards (resume with the --coordinator --shard-runs the journal was \
+       written with; a plain serve uses %d)"
+      kind campaign shard t.config.shard_runs default_config.shard_runs
+
 let apply_extra t j =
   let ( let* ) = Result.bind in
   match Ledger.kind j with
   | Some "lease" ->
-    let* campaign = str_field "campaign" j in
-    let* shard = int_field "shard" j in
+    let* _, sh = journaled_shard t "lease" j in
     let* epoch = int_field "epoch" j in
-    (match find_shard t campaign shard with
-    | None -> fail "journal: lease for unknown shard %s/%d" campaign shard
-    | Some (_, sh) ->
-      sh.s_epoch <- max sh.s_epoch epoch;
-      Ok ())
+    sh.s_epoch <- max sh.s_epoch epoch;
+    Ok ()
   | Some "revoke" ->
-    let* campaign = str_field "campaign" j in
-    let* shard = int_field "shard" j in
+    let* _, sh = journaled_shard t "revoke" j in
     let* epoch = int_field "epoch" j in
-    (match find_shard t campaign shard with
-    | None -> fail "journal: revoke for unknown shard %s/%d" campaign shard
-    | Some (_, sh) ->
-      sh.s_epoch <- max sh.s_epoch epoch;
-      sh.s_attempts <- sh.s_attempts + 1;
-      sh.s_delay <- Supervisor.backed_off (backoff_policy t.config) sh.s_delay;
-      Ok ())
+    sh.s_epoch <- max sh.s_epoch epoch;
+    sh.s_attempts <- sh.s_attempts + 1;
+    sh.s_delay <- Supervisor.backed_off (backoff_policy t.config) sh.s_delay;
+    Ok ()
   | Some "shard-dead" ->
-    let* campaign = str_field "campaign" j in
-    let* shard = int_field "shard" j in
+    let* camp, sh = journaled_shard t "shard-dead" j in
     let* reason = str_field "reason" j in
-    (match find_shard t campaign shard with
-    | None -> fail "journal: shard-dead for unknown shard %s/%d" campaign shard
-    | Some (camp, sh) ->
-      (* Re-derive any missing Unrecoverable records: a crash between
-         the shard-dead marker and its cruns must not strand the
-         campaign. *)
-      complete_dead t camp sh ~reason;
-      Ok ())
+    (* Re-derive any missing Unrecoverable records: a crash between the
+       shard-dead marker and its cruns must not strand the campaign. *)
+    complete_dead t camp sh ~reason;
+    Ok ()
   | Some k -> fail "journal: unexpected coordinator record %S" k
   | None -> fail "journal: coordinator record without a kind"
 
@@ -306,6 +328,7 @@ let create ?(config = default_config) ~scheduler () =
       workers = Hashtbl.create 8;
       busy = Hashtbl.create 8;
       cooling = Hashtbl.create 8;
+      order = [||];
       rr = 0;
     }
   in
@@ -348,7 +371,7 @@ let thaw t worker = Hashtbl.remove t.cooling worker
 (* --- worker events ---------------------------------------------------------- *)
 
 let stale_lease ~target ~campaign ~shard ~epoch =
-  [ { target; frame = Wire.Revoke { campaign; shard; epoch; reason = "stale lease" } } ]
+  [ revoke ~target ~campaign ~shard ~epoch ~reason:"stale lease" ]
 
 let renew t ~worker ~campaign ~shard ~epoch ~now =
   thaw t worker;
@@ -377,7 +400,7 @@ let shard_result t ~worker ~campaign ~shard ~epoch ~records ~now =
       let reject reason =
         Metrics.incr "coordinator.bad_results";
         release t camp sh ~now ~epoch ~reason;
-        [ { target = worker; frame = Wire.Revoke { campaign; shard; epoch; reason } } ]
+        [ revoke ~target:worker ~campaign ~shard ~epoch ~reason ]
       in
       let expected = List.init (sh.s_hi - sh.s_lo) (fun k -> sh.s_lo + k) in
       if List.map fst records <> expected then
@@ -428,6 +451,27 @@ let shard_failed t ~worker ~campaign ~shard ~epoch ~reason ~now =
 let campaign_runnable t id =
   (not (Scheduler.is_cancelled t.scheduler ~campaign:id))
   && Scheduler.failed t.scheduler ~campaign:id = None
+  && not (Scheduler.is_complete t.scheduler ~campaign:id)
+
+let eligible ~now sh = sh.s_state = Unassigned && sh.s_eligible_at <= now
+
+(* The one planning rule, for lease grants and local claims alike: the
+   first eligible shard of the first runnable campaign at or after the
+   round-robin cursor, and the cursor's next position.  Visits every
+   shard of every campaign, finished ones included. *)
+let next_shard t ~now =
+  let n = Array.length t.order in
+  let rec scan off =
+    if off >= n then None
+    else
+      let idx = (t.rr + off) mod n in
+      let camp = t.order.(idx) in
+      match Array.find_opt (eligible ~now) camp.c_shards with
+      | Some sh when campaign_runnable t camp.c_id ->
+        Some ((idx + 1) mod n, camp, sh)
+      | _ -> scan (off + 1)
+  in
+  scan 0
 
 let grant t camp sh ~worker ~now =
   let epoch = sh.s_epoch + 1 in
@@ -437,13 +481,10 @@ let grant t camp sh ~worker ~now =
   Hashtbl.replace t.busy worker (camp.c_id, sh.s_index);
   let name = Option.value (Hashtbl.find_opt t.workers worker) ~default:"?" in
   Scheduler.append_extra t.scheduler
-    (lease_record ~campaign:camp.c_id ~shard:sh.s_index ~epoch ~worker:name);
+    (lease_record ~campaign:camp.c_id sh ~epoch ~worker:name);
   Metrics.incr "coordinator.leases_granted";
-  match
-    ( Scheduler.spec_of t.scheduler ~campaign:camp.c_id,
-      Scheduler.digest_of t.scheduler ~campaign:camp.c_id )
-  with
-  | Some spec, Some digest ->
+  match Scheduler.spec_of t.scheduler ~campaign:camp.c_id with
+  | Some (spec, r) ->
     Some
       {
         target = worker;
@@ -451,7 +492,7 @@ let grant t camp sh ~worker ~now =
           Wire.Lease
             {
               campaign = camp.c_id;
-              digest;
+              digest = r.Scheduler.r_digest;
               shard = sh.s_index;
               epoch;
               lo = sh.s_lo;
@@ -460,35 +501,27 @@ let grant t camp sh ~worker ~now =
               spec;
             };
       }
-  | _ -> None (* cannot happen: the campaign came from the scheduler *)
+  | None -> None (* cannot happen: the campaign came from the scheduler *)
 
 let tick t ~now =
   sync_campaigns t;
   let commands = ref [] in
   let push c = commands := c :: !commands in
-  (* Expiry and cancellation, in deterministic campaign order. *)
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt t.campaigns id with
-      | None -> ()
-      | Some camp ->
+  (* Expiry and cancellation, in deterministic campaign order.  Only a
+     leased shard can expire or be revoked, and every lease is in
+     [busy]: with no lease out the walk is skipped. *)
+  if Hashtbl.length t.busy > 0 then
+    Array.iter
+      (fun camp ->
+        let id = camp.c_id in
         let cancelled = Scheduler.is_cancelled t.scheduler ~campaign:id in
         Array.iter
           (fun sh ->
             match sh.s_state with
             | Leased l when cancelled ->
               push
-                {
-                  target = l.l_worker;
-                  frame =
-                    Wire.Revoke
-                      {
-                        campaign = id;
-                        shard = sh.s_index;
-                        epoch = l.l_epoch;
-                        reason = "campaign cancelled";
-                      };
-                };
+                (revoke ~target:l.l_worker ~campaign:id ~shard:sh.s_index
+                   ~epoch:l.l_epoch ~reason:"campaign cancelled");
               revoke_blameless t camp sh ~epoch:l.l_epoch
                 ~reason:"campaign cancelled"
             | Leased l when l.l_deadline <= now ->
@@ -497,22 +530,13 @@ let tick t ~now =
                  lease until it speaks again. *)
               Hashtbl.replace t.cooling l.l_worker (now + t.config.lease_ticks);
               push
-                {
-                  target = l.l_worker;
-                  frame =
-                    Wire.Revoke
-                      {
-                        campaign = id;
-                        shard = sh.s_index;
-                        epoch = l.l_epoch;
-                        reason = "lease deadline missed";
-                      };
-                };
+                (revoke ~target:l.l_worker ~campaign:id ~shard:sh.s_index
+                   ~epoch:l.l_epoch ~reason:"lease deadline missed");
               release t camp sh ~now ~epoch:l.l_epoch
                 ~reason:"lease deadline missed"
             | _ -> ())
           camp.c_shards)
-    (Scheduler.campaign_ids t.scheduler);
+      t.order;
   (* Assignment: idle, warm workers in id order; campaigns round-robin. *)
   let idle =
     Hashtbl.fold
@@ -527,34 +551,45 @@ let tick t ~now =
       t.workers []
     |> List.sort compare
   in
-  let order = Array.of_list (Scheduler.campaign_ids t.scheduler) in
-  let n = Array.length order in
   let assign worker =
-    let rec scan off =
-      if off >= n then ()
-      else
-        let idx = (t.rr + off) mod n in
-        let id = order.(idx) in
-        if not (campaign_runnable t id) then scan (off + 1)
-        else
-          match Hashtbl.find_opt t.campaigns id with
-          | None -> scan (off + 1)
-          | Some camp -> (
-            let eligible sh =
-              sh.s_state = Unassigned && sh.s_eligible_at <= now
-            in
-            match Array.find_opt eligible camp.c_shards with
-            | None -> scan (off + 1)
-            | Some sh -> (
-              t.rr <- (idx + 1) mod n;
-              match grant t camp sh ~worker ~now with
-              | Some c -> push c
-              | None -> ()))
-    in
-    if n > 0 then scan 0
+    match next_shard t ~now with
+    | None -> ()
+    | Some (next, camp, sh) ->
+      t.rr <- next;
+      Option.iter push (grant t camp sh ~worker ~now)
   in
   List.iter assign idle;
   List.rev !commands
+
+(* --- local execution ---------------------------------------------------------- *)
+
+let claimable t ~now =
+  sync_campaigns t;
+  next_shard t ~now <> None
+
+(* A local claim ends inside this call, so it needs no lease and no
+   epoch: its shards are held as [Done], and any the engine left unfilled
+   (a failed campaign) go back to [Unassigned]. *)
+let run_local t ~now =
+  sync_campaigns t;
+  match next_shard t ~now with
+  | None -> None
+  | Some (next, camp, first) ->
+    t.rr <- next;
+    let rec gather sh claimed indices =
+      sh.s_state <- Done;
+      let indices = indices @ missing t camp.c_id sh in
+      match Array.find_opt (eligible ~now) camp.c_shards with
+      | Some more when List.length indices < Scheduler.jobs t.scheduler ->
+        gather more (sh :: claimed) indices
+      | _ -> (sh :: claimed, indices)
+    in
+    let claimed, indices = gather first [] [] in
+    Scheduler.execute t.scheduler ~campaign:camp.c_id ~indices;
+    List.iter
+      (fun sh -> if missing t camp.c_id sh <> [] then sh.s_state <- Unassigned)
+      claimed;
+    Some camp.c_id
 
 (* --- queries ---------------------------------------------------------------- *)
 

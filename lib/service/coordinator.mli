@@ -1,9 +1,11 @@
-(** Fault-tolerant campaign sharding: leased work units over remote
-    workers, with journaled reassignment.
+(** Fault-tolerant campaign sharding: the service's one planner.
 
     The coordinator splits every accepted campaign into shards of
-    [shard_runs] consecutive run indices and hands them to connected
-    workers as {e leases}: a lease names the shard's run range, the
+    [shard_runs] consecutive run indices.  Its shard table decides every
+    execution: the daemon's in-process pool claims shards from it
+    ({!run_local}), and connected workers are granted them as
+    {e leases}, both through the same round-robin scan and eligibility
+    rule.  A lease names the shard's run range, the
     campaign spec (so the worker can execute the runs locally against
     the same pre-split seeds) and a {e lease epoch}.  The worker renews
     the lease ({!Wire.frame.Lease_renew}) while it computes; a lease
@@ -61,8 +63,10 @@ val create : ?config:config -> scheduler:Scheduler.t -> unit -> (t, string) resu
     replay the journal's coordinator extras: lease epochs resume
     monotonic, abandoned shards stay abandoned (missing [Unrecoverable]
     records are re-derived), completed shards are recognized by their
-    journaled runs.  [Error] on a malformed coordinator record —
-    validation, not best-effort, like the scheduler's own resume. *)
+    journaled runs.  [Error] on a malformed coordinator record, or on
+    one whose shard range does not match this table (a journal written
+    under another [shard_runs]) — validation, not best-effort, like the
+    scheduler's own resume. *)
 
 type command = { target : int; frame : Wire.frame }
 (** A frame to deliver to worker connection [target]. *)
@@ -101,6 +105,16 @@ val tick : t -> now:int -> command list
     cancelled campaigns and leases past their deadline, then grant new
     leases — idle workers in id order, campaigns round-robin (the fair
     interleave), shards in index order once their backoff has passed. *)
+
+val claimable : t -> now:int -> bool
+(** {!run_local} would claim a shard now. *)
+
+val run_local : t -> now:int -> string option
+(** The in-process executor's turn: claim the shard {!tick} would grant
+    next, plus more of the same campaign while the scheduler's [jobs]
+    exceed the claimed missing runs, and run their missing indices
+    ({!Scheduler.execute}).  Journals no ["lease"].  Returns the claimed
+    campaign, or [None] when no shard is eligible. *)
 
 val shard_counts : t -> campaign:string -> int * int * int
 (** (completed, leased, abandoned) shard counts, for progress frames. *)

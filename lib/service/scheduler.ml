@@ -1,5 +1,7 @@
-(* Campaign scheduler: journal-backed multiplexing of submitted specs
-   over the campaign engine.
+(* Campaign scheduler: the journal-backed store of submitted specs and
+   their run records, plus the service's one call into the campaign
+   engine.  Which runs execute next is not decided here: that is the
+   coordinator's shard table.
 
    Record kinds in a serve journal (after the standard header):
      {"kind":"spec", ...}     an accepted campaign, in submit order
@@ -28,13 +30,17 @@ module Engine = Perple_core.Engine
 module Ledger = Perple_core.Ledger
 module Convert = Perple_core.Convert
 
+type resolved = {
+  r_digest : string;
+  r_test : Ast.t;
+  r_counter : Engine.counter;
+  r_model : Config.model;
+  r_seeds : int array;
+}
+
 type campaign = {
   spec : Wire.spec;
-  digest : string;
-  test : Ast.t;
-  counter : Engine.counter;
-  model : Config.model;
-  seeds : int array;
+  res : resolved;
   records : string option array;
   mutable done_count : int;
   mutable cancelled : bool;
@@ -44,16 +50,12 @@ type campaign = {
 type t = {
   jobs : int;
   pool : Perple_core.Pool.t option;
-      (** Persistent worker pool, reused across step batches and across
+      (** Persistent worker pool, reused by every {!execute} call across
           campaigns; [None] when [jobs = 1] (sequential). *)
   journal_path : string option;
   mutable journal : Journal.t option;
   campaigns : (string, campaign) Hashtbl.t;
   mutable order : string list;  (** Submit order, oldest first. *)
-  mutable rr : int;
-      (** Round-robin cursor into [order]: the next campaign {!step}
-          serves, so active campaigns interleave instead of starving
-          behind the oldest one. *)
   mutable extras : Json.t list;  (** Coordinator records, reversed. *)
 }
 
@@ -139,13 +141,16 @@ let resolve (spec : Wire.spec) =
               Ok
                 {
                   spec;
-                  digest;
-                  test;
-                  counter;
-                  model;
-                  seeds =
-                    Engine.campaign_seeds ~runs:spec.Wire.runs
-                      ~seed:spec.Wire.seed;
+                  res =
+                    {
+                      r_digest = digest;
+                      r_test = test;
+                      r_counter = counter;
+                      r_model = model;
+                      r_seeds =
+                        Engine.campaign_seeds ~runs:spec.Wire.runs
+                          ~seed:spec.Wire.seed;
+                    };
                   records = Array.make spec.Wire.runs None;
                   done_count = 0;
                   cancelled = false;
@@ -211,6 +216,30 @@ let spec_of_record j =
 let append t record =
   match t.journal with None -> () | Some j -> Journal.append j record
 
+(* The one ingest path for every run record: executed locally, shipped
+   by a worker or replayed from the journal (not open yet then, so
+   [append] writes nothing).  The pre-split check keeps a record out of
+   foreign slots, the stored line is canonical whatever bytes a (buggy)
+   worker sent, and the crun is journaled before the slot can stream. *)
+let store t c ~campaign summary =
+  let i = summary.Ledger.index in
+  if i < 0 || i >= Array.length c.records then
+    fail "run index %d out of range for campaign %S" i campaign
+  else if summary.Ledger.seed <> c.res.r_seeds.(i) then
+    fail "run %d was seeded with %d, the spec pre-splits %d" i
+      summary.Ledger.seed c.res.r_seeds.(i)
+  else
+    let canonical = Ledger.record_line summary in
+    match c.records.(i) with
+    | Some existing ->
+      if String.equal existing canonical then Ok `Duplicate
+      else fail "run %d already has a conflicting record" i
+    | None ->
+      append t (crun_record campaign (Ledger.to_json summary));
+      c.done_count <- c.done_count + 1;
+      c.records.(i) <- Some canonical;
+      Ok `Recorded
+
 let ingest_record t j =
   let ( let* ) = Result.bind in
   match Ledger.kind j with
@@ -247,20 +276,11 @@ let ingest_record t j =
       | None -> fail "journal: crun record without a run"
       | Some run_json ->
         let* summary = Ledger.of_json run_json in
-        let i = summary.Ledger.index in
-        if i < 0 || i >= Array.length c.records then
-          fail "journal: campaign %S run index %d out of range" campaign i
-        else if summary.Ledger.seed <> c.seeds.(i) then
-          fail
-            "journal: campaign %S run %d was seeded with %d, the spec \
-             pre-splits %d"
-            campaign i summary.Ledger.seed c.seeds.(i)
-        else begin
-          if c.records.(i) = None then c.done_count <- c.done_count + 1;
-          c.records.(i) <- Some (Ledger.record_line summary);
+        match store t c ~campaign summary with
+        | Error m -> fail "journal: campaign %S: %s" campaign m
+        | Ok _ ->
           Metrics.incr "service.scheduler.resumed_runs";
-          Ok ()
-        end))
+          Ok ()))
   | Some k -> fail "journal: unexpected %S record" k
   | None -> fail "journal: record without a kind"
 
@@ -303,7 +323,6 @@ let create ?(jobs = 1) ~journal () =
       journal = None;
       campaigns = Hashtbl.create 8;
       order = [];
-      rr = 0;
       extras = [];
     }
   in
@@ -311,8 +330,8 @@ let create ?(jobs = 1) ~journal () =
      rejected resume never leaks parked domains. *)
   let finish t =
     (* Sized to the hardware, not to [jobs]: idle domains beyond the core
-       count only tax the GC (see Pool).  [jobs] still caps the batch
-       size per step. *)
+       count only tax the GC (see Pool).  [jobs] still sets how many runs
+       a local claim gathers. *)
     let width = min jobs (Perple_core.Pool.available_domains ()) in
     Ok
       (if width > 1 then
@@ -372,33 +391,13 @@ let create ?(jobs = 1) ~journal () =
 
 (* --- queries --------------------------------------------------------------- *)
 
-type resolved = {
-  r_digest : string;
-  r_test : Ast.t;
-  r_counter : Engine.counter;
-  r_model : Config.model;
-  r_seeds : int array;
-}
-
-let resolve_spec spec =
-  Result.map
-    (fun c ->
-      {
-        r_digest = c.digest;
-        r_test = c.test;
-        r_counter = c.counter;
-        r_model = c.model;
-        r_seeds = c.seeds;
-      })
-    (resolve spec)
+let resolve_spec spec = Result.map (fun c -> c.res) (resolve spec)
 
 let find t campaign = Hashtbl.find_opt t.campaigns campaign
 
 let campaign_ids t = t.order
 
-let spec_of t ~campaign = Option.map (fun c -> c.spec) (find t campaign)
-let digest_of t ~campaign = Option.map (fun c -> c.digest) (find t campaign)
-let seeds_of t ~campaign = Option.map (fun c -> Array.copy c.seeds) (find t campaign)
+let spec_of t ~campaign = Option.map (fun c -> (c.spec, c.res)) (find t campaign)
 
 let runs t ~campaign =
   Option.map (fun c -> Array.length c.records) (find t campaign)
@@ -441,18 +440,18 @@ let submit t spec =
   | Ok fresh -> (
     match find t spec.Wire.campaign with
     | Some existing ->
-      if existing.digest <> fresh.digest then
+      if existing.res.r_digest <> fresh.res.r_digest then
         fail
           "campaign %S already exists with a different configuration \
            (digest %s, submitted %s)"
-          spec.Wire.campaign existing.digest fresh.digest
+          spec.Wire.campaign existing.res.r_digest fresh.res.r_digest
       else if existing.cancelled then
         fail "campaign %S was cancelled" spec.Wire.campaign
       else begin
         Metrics.incr "service.scheduler.resubmits";
         Ok
           {
-            digest = existing.digest;
+            digest = existing.res.r_digest;
             runs = Array.length existing.records;
             completed = existing.done_count;
           }
@@ -462,7 +461,7 @@ let submit t spec =
       Hashtbl.replace t.campaigns spec.Wire.campaign fresh;
       t.order <- t.order @ [ spec.Wire.campaign ];
       Metrics.incr "service.scheduler.campaigns_accepted";
-      Ok { digest = fresh.digest; runs = Array.length fresh.records; completed = 0 })
+      Ok { digest = fresh.res.r_digest; runs = Array.length fresh.records; completed = 0 })
 
 (* --- remote results -------------------------------------------------------- *)
 
@@ -472,12 +471,8 @@ let append_extra t j =
   append t j;
   t.extras <- j :: t.extras
 
-(* A worker-computed record is re-parsed and re-serialized before it is
-   journaled: the stream identity argument rests on every stored line
-   being the canonical [Ledger.record_line] bytes, whatever a (buggy)
-   worker actually sent.  Seed and index are checked against the
-   campaign's own pre-split, so a record can never land in a foreign
-   slot. *)
+(* A worker-computed record goes through the same [store] as a local
+   one, after parsing. *)
 let record_external t ~campaign ~line =
   match find t campaign with
   | None -> fail "record for unknown campaign %S" campaign
@@ -488,24 +483,9 @@ let record_external t ~campaign ~line =
       match Ledger.of_json run_json with
       | Error m -> fail "record invalid: %s" m
       | Ok summary ->
-        let i = summary.Ledger.index in
-        if i < 0 || i >= Array.length c.records then
-          fail "run index %d out of range for campaign %S" i campaign
-        else if summary.Ledger.seed <> c.seeds.(i) then
-          fail "run %d was seeded with %d, the spec pre-splits %d" i
-            summary.Ledger.seed c.seeds.(i)
-        else
-          let canonical = Ledger.record_line summary in
-          (match c.records.(i) with
-          | Some existing ->
-            if String.equal existing canonical then Ok `Duplicate
-            else fail "run %d already has a conflicting record" i
-          | None ->
-            append t (crun_record campaign (Ledger.to_json summary));
-            c.done_count <- c.done_count + 1;
-            c.records.(i) <- Some canonical;
-            Metrics.incr "service.scheduler.remote_runs";
-            Ok `Recorded)))
+        let r = store t c ~campaign summary in
+        if r = Ok `Recorded then Metrics.incr "service.scheduler.remote_runs";
+        r))
 
 let cancel t ~campaign =
   match find t campaign with
@@ -520,70 +500,58 @@ let cancel t ~campaign =
 
 (* --- execution ------------------------------------------------------------- *)
 
-let step t =
-  (* Fair selection: scan from the round-robin cursor, not from the
-     oldest campaign, so concurrent campaigns interleave batch for batch
-     instead of a long early submit starving everything behind it. *)
-  let order = Array.of_list t.order in
-  let n = Array.length order in
-  let rec pick off =
-    if off >= n then None
-    else
-      let idx = (t.rr + off) mod n in
-      if runnable (Hashtbl.find t.campaigns order.(idx)) then Some idx
-      else pick (off + 1)
-  in
-  match if n = 0 then None else pick 0 with
-  | None -> None
-  | Some idx ->
-    let id = order.(idx) in
-    t.rr <- (idx + 1) mod n;
-    let c = Hashtbl.find t.campaigns id in
-    let total = Array.length c.records in
-    (* The batch: the next [jobs] missing indices, in index order.  The
-       batch is what bounds how stale a kill -9 can make the journal. *)
-    let batch = ref [] in
-    let n = ref 0 in
-    let i = ref 0 in
-    while !n < t.jobs && !i < total do
-      if c.records.(!i) = None then begin
-        batch := !i :: !batch;
-        incr n
-      end;
-      incr i
-    done;
-    let batch = !batch in
-    let in_batch i = List.mem i batch in
-    let fresh = ref [] in
-    let on_entry entry =
-      let summary = Ledger.of_entry entry in
-      let line = Ledger.record_line summary in
-      append t (crun_record id (Ledger.to_json summary));
-      let idx = summary.Ledger.index in
-      if c.records.(idx) = None then c.done_count <- c.done_count + 1;
-      c.records.(idx) <- Some line;
-      fresh := (idx, line) :: !fresh;
-      Metrics.incr "service.scheduler.runs_executed"
+let jobs t = t.jobs
+
+(* The service's one call into the engine: [indices] of a campaign run
+   exactly as a single-node [perple run --runs] would run them — same
+   config, counter and pre-split seeds, every other index skipped. *)
+let run_indices ?pool ~jobs r ~(spec : Wire.spec) ~indices ~on_summary =
+  let wanted = Array.make spec.Wire.runs false in
+  List.iter (fun i -> wanted.(i) <- true) indices;
+  Engine.campaign_entries
+    ~config:(Config.with_model r.r_model Config.default)
+    ~counter:r.r_counter ?pool ~jobs
+    ~skip:(fun i -> not wanted.(i))
+    ~on_entry:(fun entry -> on_summary (Ledger.of_entry entry))
+    ~runs:spec.Wire.runs ~seed:spec.Wire.seed ~iterations:spec.Wire.iterations
+    r.r_test
+
+let execute t ~campaign ~indices =
+  match find t campaign with
+  | None -> ()
+  | Some c ->
+    (* Each run is stored, so journaled, as it retires: a kill -9 loses
+       only runs in flight.  [store] cannot refuse these runs: they were
+       missing and are computed from the campaign's own seeds. *)
+    let on_summary summary =
+      if store t c ~campaign summary = Ok `Recorded then
+        Metrics.incr "service.scheduler.runs_executed"
     in
     Trace.span "service.scheduler.step"
-      ~args:[ ("campaign", Trace.String id); ("batch", Trace.Int (List.length batch)) ]
+      ~args:
+        [ ("campaign", Trace.String campaign);
+          ("batch", Trace.Int (List.length indices)) ]
       (fun () ->
-        match
-          Engine.campaign_entries
-            ~config:(Config.with_model c.model Config.default)
-            ~counter:c.counter ?pool:t.pool ~jobs:t.jobs
-            ~skip:(fun i -> not (in_batch i))
-            ~on_entry ~runs:total ~seed:c.spec.Wire.seed
-            ~iterations:c.spec.Wire.iterations c.test
-        with
-        | Ok _ -> ()
-        | Error reason ->
-          (* Cannot normally happen — convertibility was validated at
-             submit — but a campaign must fail closed, not wedge the
-             queue. *)
-          c.failure <-
-            Some (Format.asprintf "%a" Convert.pp_reason reason));
-    Some (id, List.sort compare !fresh)
+        (* [jobs] runs per engine call: a call holds every run's report
+           until it returns, so a wider one would only raise peak
+           memory. *)
+        let rec go k =
+          match List.filteri (fun i _ -> i >= k && i < k + t.jobs) indices with
+          | [] -> ()
+          | batch -> (
+            match
+              run_indices ?pool:t.pool ~jobs:t.jobs c.res ~spec:c.spec
+                ~indices:batch ~on_summary
+            with
+            | Ok _ -> go (k + t.jobs)
+            | Error reason ->
+              (* Cannot normally happen — convertibility was validated at
+                 submit — but a campaign must fail closed, not wedge the
+                 queue. *)
+              c.failure <-
+                Some (Format.asprintf "%a" Convert.pp_reason reason))
+        in
+        go 0)
 
 (* --- shutdown -------------------------------------------------------------- *)
 

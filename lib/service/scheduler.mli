@@ -1,23 +1,24 @@
-(** Campaign scheduler: multiplexes submitted specs over the domain
-    pool, journals everything, and resumes exactly after a crash.
+(** Campaign scheduler: the daemon's journal and run-record store.
 
-    The scheduler is the daemon's only stateful core.  Each accepted
-    {!Wire.spec} is journaled, then executed in batches of up to [jobs]
-    runs through {!Perple_core.Engine.campaign_entries} (pre-split
-    per-run seeds, worker-fault isolation); every retiring run is
-    appended to the journal as a ["crun"] record {e before} it is
-    streamed.  [kill -9] at any point therefore loses at most work in
-    flight, never work acknowledged: a scheduler re-created over the same
-    journal path reloads the specs and completed runs, re-streams the
-    journaled records byte-for-byte (records are canonical
-    {!Perple_core.Ledger.record_line} serializations) and executes only
-    the missing indices.
+    Each accepted {!Wire.spec} is journaled; each executed run — run
+    locally by {!execute} or shipped by a worker through
+    {!record_external} — passes the one ingest path: index and seed
+    checked against the campaign's pre-split, canonicalised as a
+    {!Perple_core.Ledger.record_line}, and appended to the journal as a
+    ["crun"] record {e before} it can be streamed.  [kill -9] at any
+    point therefore loses at most the runs in flight, never work
+    acknowledged: a scheduler re-created over the same journal path
+    reloads the specs and completed runs, re-streams the journaled
+    records byte-for-byte and leaves only the missing indices to run.
 
-    Everything the scheduler emits is deterministic in the campaign
-    parameters: records are keyed and released by run index, so the
-    streamed bytes are identical for any [jobs] value and any
-    kill/restart split — the property the daemon smoke job in CI
-    enforces end to end. *)
+    Which runs execute next is not decided here: {!Coordinator} plans
+    every execution, remote and local, from its shard table.
+
+    Everything the scheduler stores is deterministic in the campaign
+    parameters: records are keyed by run index, so the streamed bytes
+    are identical for any [jobs] value, worker count and kill/restart
+    split — the property the daemon smoke job in CI enforces end to
+    end. *)
 
 type t
 
@@ -26,9 +27,9 @@ val create : ?jobs:int -> journal:string option -> unit -> (t, string) result
     journal at [path]; [Error] if its contents belong to a different
     command or fail validation.  [journal = None] runs in-memory
     (tests).  With [jobs > 1] a persistent {!Perple_core.Pool} is
-    spawned once here and reused by every {!step} batch of every
+    spawned once here and reused by every {!execute} call of every
     campaign (joined by {!close}/{!abandon}) — no domain is spawned per
-    batch. *)
+    claim. *)
 
 type resolved = {
   r_digest : string;  (** Config digest, as acknowledged to clients. *)
@@ -72,17 +73,16 @@ val record : t -> campaign:string -> index:int -> string option
 val campaign_ids : t -> string list
 (** Accepted campaign ids, in submit order. *)
 
-val spec_of : t -> campaign:string -> Wire.spec option
-val digest_of : t -> campaign:string -> string option
-val seeds_of : t -> campaign:string -> int array option
+val spec_of : t -> campaign:string -> (Wire.spec * resolved) option
 
 val record_external : t -> campaign:string -> line:string ->
   ([ `Recorded | `Duplicate ], string) result
-(** Ingest a worker-computed record line: parse, validate index and seed
-    against the campaign's pre-split, journal it as a ["crun"] and fill
-    its slot.  [`Duplicate] if the identical canonical record is already
-    present (idempotent); [Error] on any mismatch — the coordinator
-    treats that as a faulty shard result and reassigns. *)
+(** Ingest a worker-computed record line: parse it, then take the same
+    path as a locally executed run (index and seed validated, canonical
+    line journaled as a ["crun"], slot filled).  [`Duplicate] if the
+    identical canonical record is already present (idempotent); [Error]
+    on any mismatch — the coordinator treats that as a faulty shard
+    result and reassigns. *)
 
 val extras : t -> Perple_util.Json.t list
 (** Coordinator records (["lease"], ["revoke"], ["shard-dead"]) replayed
@@ -101,13 +101,27 @@ val metrics_payload : t -> campaign:string -> string option
 val pending : t -> bool
 (** Some campaign still has unexecuted runs. *)
 
-val step : t -> (string * (int * string) list) option
-(** Execute the next batch (up to [jobs] missing runs of one incomplete
-    campaign), journaling each run as it retires.  Campaigns are served
-    round-robin — each call picks up after the previously served
-    campaign, so no campaign starves behind an older, larger one.
-    Returns the campaign id and the new records in index order, or
-    [None] when idle. *)
+val jobs : t -> int
+(** How many runs one local claim should give the pool. *)
+
+val run_indices :
+  ?pool:Perple_core.Pool.t ->
+  jobs:int ->
+  resolved ->
+  spec:Wire.spec ->
+  indices:int list ->
+  on_summary:(Perple_core.Ledger.t -> unit) ->
+  (Perple_core.Engine.entry option array, Perple_core.Convert.reason) result
+(** The service's one call into {!Perple_core.Engine.campaign_entries}:
+    run [indices] exactly as a single-node campaign runs them, every
+    other index skipped; [on_summary] sees each run as it retires.
+    Shared by {!execute} and {!Worker.run_index}. *)
+
+val execute : t -> campaign:string -> indices:int list -> unit
+(** Run the given missing indices on the scheduler's pool, storing each
+    through the one ingest path as it retires.  A test that stops
+    converting marks the campaign {!failed}.  Traced as ["service.scheduler.step"]; called by
+    {!Coordinator.run_local}, which chooses the indices. *)
 
 val note_draining : t -> unit
 (** Append a ["draining"] marker — the serve-side analogue of the CLI's

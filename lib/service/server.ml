@@ -31,23 +31,43 @@ type conn = {
 
 type t = {
   scheduler : Scheduler.t;
-  coordinator : Coordinator.t option;
+  coordinator : Coordinator.t;
+      (** The only planner: the local pool and any workers both execute
+          shards claimed from its table. *)
+  admit_workers : bool;
   session_config : Session.config;
   conns : (int, conn) Hashtbl.t;
   mutable next_id : int;
   mutable draining : bool;
+  mutable now : int;  (** The clock of the latest {!tick}. *)
 }
 
-let create ?(session_config = Session.default_config) ?coordinator ~scheduler
-    () =
+(* The one constructor, for [create] and [serve]: [admit_workers] is
+   whether the caller asked for a coordinator. *)
+let make ?(session_config = Session.default_config) ~coordinator
+    ~admit_workers ~scheduler () =
   {
     scheduler;
     coordinator;
+    admit_workers;
     session_config;
     conns = Hashtbl.create 8;
     next_id = 0;
     draining = false;
+    now = 0;
   }
+
+let create ?session_config ?coordinator ~scheduler () =
+  let admit_workers = coordinator <> None in
+  let coordinator =
+    match coordinator with
+    | Some co -> co
+    | None -> (
+      match Coordinator.create ~scheduler () with
+      | Ok co -> co
+      | Error m -> invalid_arg ("Server.create: " ^ m))
+  in
+  make ?session_config ~coordinator ~admit_workers ~scheduler ()
 
 let conn t id = Hashtbl.find_opt t.conns id
 
@@ -120,9 +140,7 @@ let push_progress t c sub =
   | Some runs ->
     let runs_done = Scheduler.completed t.scheduler ~campaign:sub.campaign in
     let shards_done, shards_leased, shards_failed =
-      match t.coordinator with
-      | None -> (0, 0, 0)
-      | Some co -> Coordinator.shard_counts co ~campaign:sub.campaign
+      Coordinator.shard_counts t.coordinator ~campaign:sub.campaign
     in
     let key = (runs_done, shards_done, shards_leased, shards_failed) in
     if sub.last_progress <> Some key then
@@ -155,41 +173,32 @@ let dispatch t commands =
 
 let rec on_event t c ~now = function
   | Session.Hello_received _ -> ()
-  | Session.Terminated _ -> (
+  | Session.Terminated _ ->
     (* Harmless for plain clients: the coordinator only knows worker
        ids, so this is a no-op unless a lease-holder just died. *)
-    match t.coordinator with
-    | Some co -> Coordinator.remove_worker co ~id:c.cid ~now
-    | None -> ())
-  | Session.Worker_joined name -> (
-    match t.coordinator with
-    | None ->
+    Coordinator.remove_worker t.coordinator ~id:c.cid ~now
+  | Session.Worker_joined name ->
+    if t.admit_workers then Coordinator.add_worker t.coordinator ~id:c.cid ~name
+    else begin
       (* A worker dialled a plain daemon: classify and close — the
          session already replied [Hello], so explain before EOF. *)
       Session.send_control c.session
         (Wire.Error
            { code = Wire.Rejected; message = "daemon is not a coordinator" });
       List.iter (on_event t c ~now) (Session.eof c.session ~now)
-    | Some co -> Coordinator.add_worker co ~id:c.cid ~name)
-  | Session.Lease_renewed { campaign; shard; epoch } -> (
-    match t.coordinator with
-    | None -> ()
-    | Some co ->
-      dispatch t (Coordinator.renew co ~worker:c.cid ~campaign ~shard ~epoch ~now))
-  | Session.Shard_done { campaign; shard; epoch; records } -> (
-    match t.coordinator with
-    | None -> ()
-    | Some co ->
-      dispatch t
-        (Coordinator.shard_result co ~worker:c.cid ~campaign ~shard ~epoch
-           ~records ~now))
-  | Session.Shard_faulted { campaign; shard; epoch; reason } -> (
-    match t.coordinator with
-    | None -> ()
-    | Some co ->
-      dispatch t
-        (Coordinator.shard_failed co ~worker:c.cid ~campaign ~shard ~epoch
-           ~reason ~now))
+    end
+  | Session.Lease_renewed { campaign; shard; epoch } ->
+    dispatch t
+      (Coordinator.renew t.coordinator ~worker:c.cid ~campaign ~shard ~epoch
+         ~now)
+  | Session.Shard_done { campaign; shard; epoch; records } ->
+    dispatch t
+      (Coordinator.shard_result t.coordinator ~worker:c.cid ~campaign ~shard
+         ~epoch ~records ~now)
+  | Session.Shard_faulted { campaign; shard; epoch; reason } ->
+    dispatch t
+      (Coordinator.shard_failed t.coordinator ~worker:c.cid ~campaign ~shard
+         ~epoch ~reason ~now)
   | Session.Submitted spec ->
     if t.draining then
       Session.send_control c.session
@@ -249,27 +258,25 @@ let eof t ~conn:id ~now =
   | None -> ()
   | Some c -> List.iter (on_event t c ~now) (Session.eof c.session ~now)
 
-(* Whether the core would run a local batch now.  Graceful
-   degradation: a coordinator with no connected workers executes
-   locally, exactly like the single-node daemon, so a campaign never
-   waits on a fleet that is not coming back.  With workers connected,
-   pending work is theirs to lease, so this stays false. *)
+(* The pool executes only while no worker is connected — a plain daemon,
+   or a coordinator whose fleet is gone, so a campaign never waits on
+   workers that are not coming back.  With workers connected, pending
+   work is theirs to lease. *)
 let runnable t =
   (not t.draining)
-  && Scheduler.pending t.scheduler
-  &&
-  match t.coordinator with
-  | None -> true
-  | Some co -> Coordinator.worker_count co = 0
+  && Coordinator.worker_count t.coordinator = 0
+  && Coordinator.claimable t.coordinator ~now:t.now
 
 let tick t ~now =
+  t.now <- now;
   Hashtbl.iter
     (fun _ c -> List.iter (on_event t c ~now) (Session.tick c.session ~now))
     t.conns;
-  (match t.coordinator with
-  | Some co when not t.draining -> dispatch t (Coordinator.tick co ~now)
-  | _ -> ());
-  if runnable t then ignore (Scheduler.step t.scheduler);
+  if not t.draining then dispatch t (Coordinator.tick t.coordinator ~now);
+  (* [runnable]'s rule, less the claimable test [run_local] makes itself.
+     One claim per turn keeps client I/O interleaved between claims. *)
+  if (not t.draining) && Coordinator.worker_count t.coordinator = 0 then
+    ignore (Coordinator.run_local t.coordinator ~now);
   (* Deterministic streaming order so tests can compare transcripts. *)
   List.iter
     (fun id -> match conn t id with None -> () | Some c -> advance_conn t c)
@@ -375,13 +382,8 @@ let serve ~socket ?tcp_port ?(jobs = 1) ?session_config ?coordinator ~journal
   | Error _ as e -> e
   | Ok scheduler -> (
     let finish_scheduler () = Scheduler.close scheduler in
-    let coordinator =
-      match coordinator with
-      | None -> Ok None
-      | Some config ->
-        Result.map Option.some (Coordinator.create ~config ~scheduler ())
-    in
-    match coordinator with
+    let admit_workers = coordinator <> None in
+    match Coordinator.create ?config:coordinator ~scheduler () with
     | Error m ->
       finish_scheduler ();
       Error m
@@ -403,7 +405,9 @@ let serve ~socket ?tcp_port ?(jobs = 1) ?session_config ?coordinator ~journal
         finish_scheduler ();
         Error m
       | Ok tcp_fd ->
-        let core = create ?session_config ?coordinator ~scheduler () in
+        let core =
+          make ?session_config ~coordinator ~admit_workers ~scheduler ()
+        in
         let epoch = Unix.gettimeofday () in
         let stop = ref None in
         let handler s = stop := Some s in

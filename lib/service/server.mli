@@ -1,4 +1,6 @@
-(** The daemon: sessions multiplexed over one scheduler.
+(** The daemon: sessions multiplexed over one scheduler, with one
+    {!Coordinator} planning every execution — the in-process pool's and
+    any workers'.
 
     The sans-IO core ({!create} … {!closed}) owns every decision —
     handshakes, accepting and journaling specs, streaming records in
@@ -25,10 +27,13 @@ val create :
   scheduler:Scheduler.t ->
   unit ->
   t
-(** With a [coordinator], worker sessions are admitted and campaigns
-    are sharded out as leases; without one, a [Worker_hello] is
-    rejected and closed.  The coordinator must have been created over
-    the same scheduler. *)
+(** With a [coordinator] (created over the same scheduler), worker
+    sessions are admitted and granted leases.  Without one the server
+    builds its own from {!Coordinator.default_config} and rejects a
+    [Worker_hello]; raises [Invalid_argument] if the scheduler's journal
+    holds malformed coordinator records or ones written under another
+    shard size.  Either way the local pool
+    executes shards claimed from the coordinator's table. *)
 
 val connect : t -> now:int -> int
 (** Register a new connection; returns its id. *)
@@ -40,19 +45,19 @@ val eof : t -> conn:int -> now:int -> unit
 
 val tick : t -> now:int -> unit
 (** One turn of the daemon: advance session clocks, run the
-    coordinator's lease bookkeeping, run at most one scheduler batch if
-    {!runnable} holds, stream newly available records to subscribed
-    connections (respecting backpressure).  One batch per turn keeps
-    client I/O interleaved between batches and bounds what a [kill -9]
-    can lose to one batch. *)
+    coordinator's lease bookkeeping, make at most one local shard claim
+    ({!Coordinator.run_local}) if {!runnable} holds, stream newly
+    available records to subscribed connections (respecting
+    backpressure).  One claim per turn keeps client I/O interleaved
+    between claims; runs are journaled as they retire, so a [kill -9]
+    loses at most the runs in flight. *)
 
 val runnable : t -> bool
-(** The next {!tick} would run a local scheduler batch: the daemon is
-    not draining, some campaign has unexecuted runs, and there is
-    either no coordinator or a coordinator with no connected workers
-    (graceful degradation).  False while connected workers hold the
-    pending work, so a driver may poll with a zero timeout exactly when
-    this holds without busy-waiting on a fleet. *)
+(** The next {!tick} would make a local claim: the daemon is not
+    draining, no worker is connected, and the coordinator's table has a
+    shard eligible at the latest tick's clock.  False while connected
+    workers hold the pending work, so a driver may poll with a zero
+    timeout exactly when this holds without busy-waiting on a fleet. *)
 
 val flush : t -> conn:int -> string
 (** Take the connection's pending outbound bytes (empty if none). *)
@@ -98,8 +103,8 @@ val serve :
     optionally a localhost TCP port.  If [journal] names an existing
     file, the scheduler resumes it — the daemon restart contract needs
     no flag.  With [coordinator], the daemon also accepts workers and
-    shards campaigns into leases, falling back to local execution
-    whenever no worker is connected.  Each loop turn waits in [select]
+    leases them shards; its [shard_runs] also sizes the local claims,
+    which run whenever no worker is connected.  Each loop turn waits in [select]
     with a zero timeout exactly when {!runnable} holds, and otherwise up
     to a 50 ms idle tick (heartbeats, lease deadlines), so a campaign
     never sleeps between its batches; a transport is {!release}d from

@@ -6,10 +6,8 @@
 module Framed = Perple_util.Framed
 module Metrics = Perple_util.Metrics
 module Supervisor = Perple_harness.Supervisor
-module Engine = Perple_core.Engine
 module Ledger = Perple_core.Ledger
 module Convert = Perple_core.Convert
-module Config = Perple_sim.Config
 
 type config = { heartbeat_every : int; liveness_timeout : int }
 
@@ -242,21 +240,14 @@ let task_failed t ~reason =
 
 (* --- execution --------------------------------------------------------------- *)
 
-(* One campaign run, computed exactly as the scheduler's local [step]
-   would: same config, same counter, seeds re-split from the campaign
-   seed with every sibling skipped.  This is what makes a worker-merged
-   ledger byte-identical to a single-node --jobs run. *)
-let run_index ~(resolved : Scheduler.resolved) ~(spec : Wire.spec) ~index =
+(* One campaign run through the scheduler's engine helper, the same
+   call the daemon's local executor makes: this is what makes a
+   worker-merged ledger byte-identical to a single-node --jobs run. *)
+let run_index ~resolved ~(spec : Wire.spec) ~index =
   let out = ref None in
   match
-    Engine.campaign_entries
-      ~config:(Config.with_model resolved.Scheduler.r_model Config.default)
-      ~counter:resolved.Scheduler.r_counter ~jobs:1
-      ~skip:(fun i -> i <> index)
-      ~on_entry:(fun entry ->
-        out := Some (Ledger.record_line (Ledger.of_entry entry)))
-      ~runs:spec.Wire.runs ~seed:spec.Wire.seed
-      ~iterations:spec.Wire.iterations resolved.Scheduler.r_test
+    Scheduler.run_indices ~jobs:1 resolved ~spec ~indices:[ index ]
+      ~on_summary:(fun summary -> out := Some (Ledger.record_line summary))
   with
   | Error reason ->
     Error (Format.asprintf "not convertible: %a" Convert.pp_reason reason)

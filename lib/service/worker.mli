@@ -62,11 +62,12 @@ val task_failed : t -> reason:string -> unit
 val run_index :
   resolved:Scheduler.resolved -> spec:Wire.spec -> index:int ->
   (string, string) result
-(** Execute one campaign run exactly as the daemon's local scheduler
-    would — same config, counter and pre-split seeds, every sibling
-    index skipped — and return the canonical record line.  This shared
-    path is what makes worker-merged ledgers byte-identical to a
-    single-node [--jobs] run. *)
+(** Execute one campaign run through {!Scheduler.run_indices} — the
+    same engine call the daemon's local executor makes: same config,
+    counter and pre-split seeds, every sibling index skipped — and
+    return the canonical record line.  This shared path is what makes
+    worker-merged ledgers byte-identical to a single-node [--jobs]
+    run. *)
 
 type address = [ `Unix_socket of string | `Tcp of int ]
 (** Coordinator endpoint: a filesystem socket or a loopback TCP port. *)

@@ -16,6 +16,7 @@ module Worker = Perple_service.Worker
 module Server = Perple_service.Server
 module Client = Perple_service.Client
 module Chaos = Perple_service.Chaos
+module Ledger = Perple_core.Ledger
 
 let check = Alcotest.check
 
@@ -45,27 +46,9 @@ let co_config ?(shard_runs = 2) ?(max_attempts = 4) () =
   { Coordinator.shard_runs; lease_ticks; max_attempts; retry_delay = 10;
     retry_backoff = 2.0 }
 
-(* The single-node truth a distributed execution must reproduce. *)
-let reference_records sp =
-  let sched = Result.get_ok (Scheduler.create ~jobs:1 ~journal:None ()) in
-  (match Scheduler.submit sched sp with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "reference submit failed: %s" m);
-  let guard = ref 0 in
-  while Scheduler.pending sched do
-    incr guard;
-    if !guard > 10_000 then Alcotest.fail "reference failed to converge";
-    ignore (Scheduler.step sched)
-  done;
-  let records =
-    List.init sp.Wire.runs (fun index ->
-        Option.get (Scheduler.record sched ~campaign:sp.Wire.campaign ~index))
-  in
-  let metrics =
-    Option.get (Scheduler.metrics_payload sched ~campaign:sp.Wire.campaign)
-  in
-  Scheduler.close sched;
-  (records, metrics)
+(* The single-node truth a distributed execution must reproduce,
+   computed straight from the engine. *)
+let reference_records = Test_service.reference_records
 
 let execute_task cache (tk : Worker.task) =
   let resolved =
@@ -530,6 +513,55 @@ let test_coordinator_kill_resume_epochs () =
     (Scheduler.record sched2 ~campaign:"resume" ~index:l1.lv_lo <> None);
   Scheduler.close sched2
 
+(* Shard records name a shard by index, and an index means other runs
+   under another shard size: a journal whose shard 0 (runs 0-1) died
+   under 2-run shards must not be resumed by a plain daemon's 4-run
+   table, which would abandon the healthy runs 2-3 too. *)
+let test_resume_refuses_other_shard_size () =
+  with_scratch @@ fun () ->
+  let path = in_scratch "resize.journal" in
+  let sp = spec ~campaign:"resize" ~runs:4 () in
+  let sched, co = make_co ~shard_runs:2 ~max_attempts:1 ~journal:path ~sp () in
+  Coordinator.add_worker co ~id:1 ~name:"a";
+  let l = Option.get (lease_of_commands (Coordinator.tick co ~now:0) ~worker:1) in
+  ignore
+    (Coordinator.shard_failed co ~worker:1 ~campaign:"resize" ~shard:l.lv_shard
+       ~epoch:l.lv_epoch ~reason:"synthetic fault" ~now:1);
+  check Alcotest.int "the dead shard's two runs are abandoned" 2
+    (Scheduler.completed sched ~campaign:"resize");
+  Scheduler.close sched;
+  let journaled_runs () =
+    match Journal.load path with
+    | Error m -> Alcotest.failf "journal unreadable: %s" m
+    | Ok r ->
+      List.length
+        (List.filter (fun j -> Ledger.kind j = Some "crun") r.Journal.records)
+  in
+  check Alcotest.int "two runs journaled" 2 (journaled_runs ());
+  let sched = Result.get_ok (Scheduler.create ~journal:(Some path) ()) in
+  (match Server.create ~scheduler:sched () with
+  | _ -> Alcotest.fail "a plain daemon resumed a 2-run-shard journal"
+  | exception Invalid_argument m ->
+    check Alcotest.bool "the error names the shard size" true
+      (contains_sub m "--shard-runs"));
+  check Alcotest.int "no record fabricated" 2
+    (Scheduler.completed sched ~campaign:"resize");
+  check Alcotest.bool "run 2 is still missing" true
+    (Scheduler.record sched ~campaign:"resize" ~index:2 = None);
+  Scheduler.close sched;
+  check Alcotest.int "no run journaled by the refused resume" 2
+    (journaled_runs ());
+  (* The size the journal was written with resumes it. *)
+  let sched = Result.get_ok (Scheduler.create ~journal:(Some path) ()) in
+  (match Coordinator.create ~config:(co_config ()) ~scheduler:sched () with
+  | Ok co ->
+    check
+      Alcotest.(triple int int int)
+      "2-run shards resume" (0, 0, 1)
+      (Coordinator.shard_counts co ~campaign:"resize")
+  | Error m -> Alcotest.failf "matching shard size refused: %s" m);
+  Scheduler.close sched
+
 (* A worker EOF mid-lease releases the shard to the next worker. *)
 let test_disconnect_reassigns () =
   let sp = spec ~campaign:"dc" ~runs:2 () in
@@ -597,10 +629,99 @@ let test_runnable_predicate () =
   idle_tick "coordinator with a leasing worker" server sched ~now:3;
   Scheduler.close sched
 
+(* --- one planner ----------------------------------------------------------------- *)
+
+(* One virtual tick of a server with one sans-IO worker attached. *)
+let pump server ~conn w ~now =
+  Server.input server ~conn ~now (Framed.take_all (Worker.output w));
+  Server.tick server ~now;
+  Worker.input w ~now (Server.flush server ~conn);
+  Worker.tick w ~now
+
+(* A fresh worker process dials in and talks to the server for a while
+   without executing anything; returns how many leases it was granted. *)
+let late_worker server co ~now =
+  let conn = Server.connect server ~now:!now in
+  let w = Worker.create ~config:fast_worker ~name:"late" ~now:!now () in
+  for _ = 1 to 20 do
+    incr now;
+    pump server ~conn w ~now:!now
+  done;
+  check Alcotest.int "the late worker joined" 1 (Coordinator.worker_count co);
+  Worker.leases_taken w
+
+let run_locally server sched ~now =
+  while Scheduler.pending sched && !now < 1_000 do
+    incr now;
+    Server.tick server ~now:!now
+  done
+
+(* The local pool claims shards from the coordinator's table, so a
+   campaign a worker-less coordinator finished is finished in the table
+   too: a worker that joins afterwards is leased nothing, recomputes
+   nothing, and no lease is journaled. *)
+let test_late_worker_takes_no_lease () =
+  with_scratch @@ fun () ->
+  let path = in_scratch "late.journal" in
+  let sp = spec ~campaign:"late" ~runs:6 () in
+  let sched, co = make_co ~journal:path ~sp () in
+  let server =
+    Server.create ~session_config:fast_session ~coordinator:co ~scheduler:sched
+      ()
+  in
+  let now = ref 0 in
+  run_locally server sched ~now;
+  check Alcotest.bool "campaign completed locally" true
+    (Scheduler.is_complete sched ~campaign:"late");
+  check Alcotest.int "the late worker takes no lease" 0
+    (late_worker server co ~now);
+  check
+    Alcotest.(triple int int int)
+    "every shard done, none leased or abandoned" (3, 0, 0)
+    (Coordinator.shard_counts co ~campaign:"late");
+  Scheduler.close sched;
+  match Journal.load path with
+  | Error m -> Alcotest.failf "journal unreadable: %s" m
+  | Ok r ->
+    check Alcotest.int "no lease journaled" 0
+      (List.length
+         (List.filter (fun j -> Ledger.kind j = Some "lease") r.Journal.records))
+
+(* A worker dies mid-shard and the local pool finishes the campaign,
+   its shard included: when the worker process comes back it is leased
+   nothing of that campaign. *)
+let test_rejoining_worker_finds_campaign_done () =
+  let sp = spec ~campaign:"rejoin" ~runs:6 () in
+  let sched, co = make_co ~sp () in
+  let server =
+    Server.create ~session_config:fast_session ~coordinator:co ~scheduler:sched
+      ()
+  in
+  let conn = Server.connect server ~now:0 in
+  let w = Worker.create ~config:fast_worker ~name:"w" ~now:0 () in
+  pump server ~conn w ~now:1;
+  check Alcotest.int "the worker holds a lease" 1 (Worker.leases_taken w);
+  (match Worker.task w with
+  | None -> Alcotest.fail "the lease must yield a task"
+  | Some tk -> (
+    match execute_task (Hashtbl.create 1) tk with
+    | Ok record -> Worker.task_done w ~now:2 ~record
+    | Error m -> Alcotest.failf "run failed: %s" m));
+  Server.input server ~conn ~now:2 (Framed.take_all (Worker.output w));
+  Server.eof server ~conn ~now:3;
+  check Alcotest.int "the worker is gone" 0 (Coordinator.worker_count co);
+  let now = ref 3 in
+  run_locally server sched ~now;
+  check Alcotest.bool "the local pool finished the campaign" true
+    (Scheduler.is_complete sched ~campaign:"rejoin");
+  check Alcotest.int "the rejoining worker takes no lease" 0
+    (late_worker server co ~now);
+  Scheduler.close sched
+
 (* --- fairness ----------------------------------------------------------------- *)
 
-(* Satellite: the scheduler interleaves runnable campaigns round-robin
-   instead of draining the oldest first. *)
+(* Satellite: local shard claims interleave runnable campaigns
+   round-robin instead of draining the oldest first. *)
 let test_scheduler_round_robin_fairness () =
   let sched = Result.get_ok (Scheduler.create ~jobs:1 ~journal:None ()) in
   List.iter
@@ -609,10 +730,11 @@ let test_scheduler_round_robin_fairness () =
       | Ok _ -> ()
       | Error m -> Alcotest.failf "submit %s failed: %s" c m)
     [ "aaa"; "bbb"; "ccc" ];
+  let co = Test_service.executor sched in
   let order = ref [] in
   while Scheduler.pending sched do
-    match Scheduler.step sched with
-    | Some (campaign, _) -> order := campaign :: !order
+    match Coordinator.run_local co ~now:0 with
+    | Some campaign -> order := campaign :: !order
     | None -> ()
   done;
   let order = List.rev !order in
@@ -803,10 +925,16 @@ let suite =
           test_bounded_retries_abandon;
         Alcotest.test_case "kill -9 resume keeps epochs monotonic" `Quick
           test_coordinator_kill_resume_epochs;
+        Alcotest.test_case "resume refuses another shard size" `Quick
+          test_resume_refuses_other_shard_size;
         Alcotest.test_case "disconnect reassigns the shard" `Quick
           test_disconnect_reassigns;
         Alcotest.test_case "runnable predicate never spins on a fleet" `Quick
           test_runnable_predicate;
+        Alcotest.test_case "late worker takes no lease" `Quick
+          test_late_worker_takes_no_lease;
+        Alcotest.test_case "rejoining worker finds the campaign done" `Quick
+          test_rejoining_worker_finds_campaign_done;
       ] );
     ( "coordinator.fairness",
       [

@@ -14,9 +14,13 @@ module Metrics = Perple_util.Metrics
 module Wire = Perple_service.Wire
 module Session = Perple_service.Session
 module Scheduler = Perple_service.Scheduler
+module Coordinator = Perple_service.Coordinator
 module Server = Perple_service.Server
 module Client = Perple_service.Client
 module Chaos = Perple_service.Chaos
+module Engine = Perple_core.Engine
+module Ledger = Perple_core.Ledger
+module Config = Perple_sim.Config
 
 let check = Alcotest.check
 
@@ -391,12 +395,21 @@ let test_session_drain_completes () =
 
 (* --- scheduler -------------------------------------------------------------- *)
 
+(* The daemon's local executor over a bare scheduler.  One-run shards
+   make each claim take [jobs] missing runs of one campaign. *)
+let executor sched =
+  Result.get_ok
+    (Coordinator.create
+       ~config:{ Coordinator.default_config with shard_runs = 1 }
+       ~scheduler:sched ())
+
 let run_to_completion sched =
+  let co = executor sched in
   let guard = ref 0 in
   while Scheduler.pending sched do
     incr guard;
     if !guard > 10_000 then Alcotest.fail "scheduler failed to converge";
-    ignore (Scheduler.step sched)
+    ignore (Coordinator.run_local co ~now:0)
   done
 
 let all_records sched ~campaign =
@@ -408,18 +421,35 @@ let all_records sched ~campaign =
         | Some line -> line
         | None -> Alcotest.failf "campaign %s missing record %d" campaign index)
 
-(* The clean, in-memory reference for a spec: what any journaled,
-   killed, restarted or re-jobbed execution must reproduce exactly. *)
-let reference_records sp =
-  let sched = Result.get_ok (Scheduler.create ~jobs:1 ~journal:None ()) in
-  (match Scheduler.submit sched sp with
+(* The reference for a spec: what any journaled, killed, restarted,
+   re-jobbed or distributed execution must reproduce exactly.  It is
+   computed straight from the engine, as [perple run --runs] computes a
+   campaign, not through the service under test: canonical record lines
+   plus the merge of their per-run metrics. *)
+let reference_records (sp : Wire.spec) =
+  if sp.Wire.counter <> "heur" || sp.Wire.model <> "tso" then
+    Alcotest.fail "reference: only heur/tso specs are supported";
+  let out = Array.make sp.Wire.runs None in
+  (match
+     Engine.campaign_entries
+       ~config:(Config.with_model Config.Tso Config.default)
+       ~counter:Engine.Heuristic ~jobs:1
+       ~on_entry:(fun e -> out.(e.Engine.run_index) <- Some (Ledger.of_entry e))
+       ~runs:sp.Wire.runs ~seed:sp.Wire.seed ~iterations:sp.Wire.iterations
+       (Perple_litmus.Catalog.find_exn sp.Wire.test)
+   with
   | Ok _ -> ()
-  | Error m -> Alcotest.failf "reference submit failed: %s" m);
-  run_to_completion sched;
-  let records = all_records sched ~campaign:sp.Wire.campaign in
-  let metrics = Scheduler.metrics_payload sched ~campaign:sp.Wire.campaign in
-  Scheduler.close sched;
-  (records, Option.get metrics)
+  | Error _ -> Alcotest.failf "reference: %s is not convertible" sp.Wire.test);
+  let summaries = Array.to_list (Array.map Option.get out) in
+  let sink = Metrics.create_sink () in
+  List.iter
+    (fun (s : Ledger.t) ->
+      Option.iter
+        (fun m -> Result.get_ok (Metrics.merge_json sink m))
+        s.Ledger.metrics)
+    summaries;
+  ( List.map Ledger.record_line summaries,
+    Json.to_string (Metrics.to_json sink) )
 
 let test_scheduler_validation () =
   let sched = Result.get_ok (Scheduler.create ~journal:None ()) in
@@ -463,7 +493,7 @@ let test_scheduler_cancel () =
   let sched = Result.get_ok (Scheduler.create ~journal:None ()) in
   let sp = spec ~campaign:"victim" ~runs:4 ~iterations:100 () in
   ignore (Result.get_ok (Scheduler.submit sched sp));
-  ignore (Scheduler.step sched);
+  ignore (Coordinator.run_local (executor sched) ~now:0);
   check Alcotest.bool "cancel known campaign" true
     (Scheduler.cancel sched ~campaign:"victim");
   check Alcotest.bool "cancelled campaigns stop scheduling" false
@@ -494,8 +524,9 @@ let test_scheduler_kill_resume_equivalence () =
           (Scheduler.create ~jobs:jobs_before ~journal:(Some path) ())
       in
       ignore (Result.get_ok (Scheduler.submit s1 sp));
+      let co1 = executor s1 in
       for _ = 1 to kill_after_steps do
-        ignore (Scheduler.step s1)
+        ignore (Coordinator.run_local co1 ~now:0)
       done;
       let before = Scheduler.completed s1 ~campaign:"kr" in
       Scheduler.abandon s1;
@@ -535,7 +566,7 @@ let test_scheduler_draining_marker_resumes () =
   let sp = spec ~campaign:"dr" ~runs:3 ~iterations:100 () in
   let s1 = Result.get_ok (Scheduler.create ~journal:(Some path) ()) in
   ignore (Result.get_ok (Scheduler.submit s1 sp));
-  ignore (Scheduler.step s1);
+  ignore (Coordinator.run_local (executor s1) ~now:0);
   Scheduler.note_draining s1;
   Scheduler.close s1;
   (* The marker must not poison the resume path. *)
