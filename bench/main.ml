@@ -63,9 +63,10 @@ let run_4k = prepared_run 4_000
 
 (* Solver trace-verification scaling: sb contributes 4 events per
    iteration, so these runs decode to 500-, 2000- and 8000-event
-   executions.  All three ride the polynomial fast path (0 decisions),
-   which is the point: whole-trace classification at sizes the
-   operational enumerator cannot reach. *)
+   executions.  sb has one writer thread per location, so all of them
+   take the graph-free single-writer path (coherence scan, then chain
+   sweep; 0 decisions), which is the point: whole-trace classification at
+   sizes the operational enumerator cannot reach. *)
 let run_125 = prepared_run 125
 let run_500 = prepared_run 500
 let run_2k = prepared_run 2_000
@@ -78,12 +79,15 @@ let verify_sb run =
   assert v.Solver.consistent;
   v
 
-(* The end-to-end verify size: sb at 50k iterations is 200k events. *)
+(* The end-to-end verify size: sb at 50k iterations is 200k events; at
+   250k iterations, 1M events. *)
 let run_50k = prepared_run 50_000
+let run_250k = prepared_run 250_000
 
 (* The multi-writer search path: co-iriw's two writers race on x, so the
-   coherence merge runs (and re-derives reachability after every
-   append) instead of the two-pass fast path. *)
+   CSR graphs are built and the coherence merge runs (re-deriving
+   reachability after every append) instead of the single-writer
+   path. *)
 let co_iriw =
   lazy
     (let conv = Result.get_ok (Convert.convert (Catalog.find_exn "co-iriw")) in
@@ -145,6 +149,7 @@ let frames_per_run =
     ("solver:verify-trace-2kev", 2_000);
     ("solver:verify-trace-8kev", 8_000);
     ("solver:verify-trace-200kev", 200_000);
+    ("solver:verify-trace-1Mev", 1_000_000);
     ("solver:verify-trace-co-iriw-125it", 750);
   ]
 
@@ -249,6 +254,8 @@ let micro_tests =
       (Staged.stage (fun () -> verify_sb run_2k));
     Test.make ~name:"solver:verify-trace-200kev"
       (Staged.stage (fun () -> verify_sb run_50k));
+    Test.make ~name:"solver:verify-trace-1Mev"
+      (Staged.stage (fun () -> verify_sb run_250k));
     Test.make ~name:"solver:verify-trace-co-iriw-125it"
       (Staged.stage verify_co_iriw);
   ]

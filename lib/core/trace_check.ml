@@ -84,8 +84,9 @@ let skeleton loc_id program =
    retired but another thread observed.  A writer can have executed
    stores only of iterations up to the one it was in when the run ended
    — its retired count — so no value can make the trace longer than the
-   run. *)
-let execution (conv : Convert.t) (run : Perpetual.run) =
+   run.  Returns the execution with the label that names an event by its
+   thread, iteration and id. *)
+let unroll (conv : Convert.t) (run : Perpetual.run) =
   let test = conv.Convert.test in
   let names = conv.Convert.image.Program.location_names in
   let loc_id = Program.location_id conv.Convert.image in
@@ -163,7 +164,22 @@ let execution (conv : Convert.t) (run : Perpetual.run) =
            + (retired w * per_iter w)
            + ((it - retired w) * stores_per_iter w)
            + skel.(w).store_pos.(j)));
-  { Solver.locations = names; thread_start; kind; loc; rf }
+  let label id =
+    let t = ref 0 in
+    while thread_start.(!t + 1) <= id do
+      incr t
+    done;
+    let t = !t in
+    let j = id - thread_start.(t) and full = retired t * per_iter t in
+    let iteration =
+      if j < full then j / per_iter t
+      else retired t + ((j - full) / stores_per_iter t)
+    in
+    Printf.sprintf "thread %d iteration %d event %d" t iteration id
+  in
+  ({ Solver.locations = names; thread_start; kind; loc; rf }, label)
+
+let execution conv run = fst (unroll conv run)
 
 let trace_of_run conv run =
   let e = execution conv run in
@@ -187,8 +203,8 @@ let trace_of_run conv run =
           | Solver.Flush -> assert false (* dropped from the skeleton *)))
 
 let verify ~model conv run =
-  match execution conv run with
-  | e -> Solver.check model e
+  match unroll conv run with
+  | e, label -> Solver.check ~label model e
   | exception Undecodable msg ->
     {
       Solver.consistent = false;

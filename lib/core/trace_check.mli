@@ -45,4 +45,10 @@ val trace_of_run :
 val verify :
   model:Operational.model -> Convert.t -> Perpetual.run -> Solver.verdict
 (** {!execution} checked by {!Solver.check}; an undecodable value is
-    reported as an inconsistent verdict rather than raised. *)
+    reported as an inconsistent verdict rather than raised.  A violation
+    names its first stuck event by thread, iteration and event id.
+
+    {!Solver.check_graphs} on the same {!execution} is the reference for
+    this check: the test suite holds the two to equal verdicts over random
+    catalog runs on every machine configuration, including runs with a
+    corrupted load. *)

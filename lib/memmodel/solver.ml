@@ -6,10 +6,13 @@ module E = Event_graph
    "Solver backend").  Executions are not enumerated: the reads-from choice
    for each load is a variable, the coherence order of each location is a
    variable, and validity is acyclicity of two graphs — uniproc
-   [po-loc ∪ rf ∪ ws ∪ fr] and the per-model graph — maintained
-   incrementally while propagation orients coherence pairs forced by
-   reachability (the Chakraborty-style polynomial fast path) and search
-   branches only on genuinely free choices. *)
+   [po-loc ∪ rf ∪ ws ∪ fr] and the per-model graph.  When every location
+   has one writer thread, coherence is that thread's program order and no
+   graph is built: uniproc is a coherence-shape scan and the model axiom a
+   sweep over per-thread program-order chains, both linear.  Otherwise the
+   two graphs are maintained incrementally while propagation orients
+   coherence pairs forced by reachability (the Chakraborty-style polynomial
+   fast path) and search branches only on genuinely free choices. *)
 
 (* ---------- flat executions ---------- *)
 
@@ -29,7 +32,7 @@ type execution = {
 type verdict = {
   consistent : bool;
   events : int;
-  violation : string option;  (* which acyclicity axiom broke *)
+  violation : string option;  (* which acyclicity axiom broke, and where *)
   decisions : int;            (* free coherence choices explored *)
   backtracks : int;           (* abandoned branches *)
 }
@@ -52,7 +55,249 @@ let interner () =
   in
   (intern, fun () -> !names)
 
-(* ---------- graphs ---------- *)
+let thread_of ex id =
+  let t = ref 0 in
+  while ex.thread_start.(!t + 1) <= id do
+    incr t
+  done;
+  !t
+
+(* How a violation names an event unless the caller knows better. *)
+let default_label ex id =
+  Printf.sprintf "thread %d event %d" (thread_of ex id) id
+
+(* Validates every rf source and finds each location's writer thread:
+   [-1] when nothing writes it, [-2] when several threads do. *)
+let writer_threads ex =
+  let n = Array.length ex.kind in
+  let writer = Array.make (Array.length ex.locations) (-1) in
+  for t = 0 to Array.length ex.thread_start - 2 do
+    for id = ex.thread_start.(t) to ex.thread_start.(t + 1) - 1 do
+      match ex.kind.(id) with
+      | Write ->
+        let x = ex.loc.(id) in
+        if writer.(x) = -1 then writer.(x) <- t
+        else if writer.(x) <> t then writer.(x) <- -2
+      | Read ->
+        let w = ex.rf.(id) in
+        if
+          w <> -1
+          && (w < 0 || w >= n || ex.kind.(w) <> Write
+             || ex.loc.(w) <> ex.loc.(id))
+        then invalid_arg "Solver: rf source is not a same-location write"
+      | Fence | Flush -> ()
+    done
+  done;
+  writer
+
+(* ---------- single-writer certification ---------- *)
+
+exception Shape of string
+
+(* Uniproc when every location has one writer thread.  Its coherence order
+   is that thread's program order — id order, after the initial value
+   (-1) — so acyclicity of [po-loc ∪ rf ∪ co ∪ fr] is the absence of the
+   CoRR, CoWR and CoRW shapes (Alglave, Maranget and Tautschnig, "Herding
+   Cats"; CoWW cannot occur).  One pass per thread finds them: [seen.(x)]
+   is the co-latest write of [x] the thread has performed or observed so
+   far.  A read must not go back before it; and when the thread writes
+   [x] itself, every co-later write is its own po-later one, so the read
+   must take exactly [seen.(x)]. *)
+let coherence_scan ex ~writer ~label =
+  let seen = Array.make (Array.length ex.locations) (-1) in
+  let source w = if w < 0 then "the initial value" else label w in
+  let fail r fmt =
+    Printf.ksprintf
+      (fun s ->
+        raise
+          (Shape
+             (Printf.sprintf "cycle in uniproc graph: %s reads [%s] %s"
+                (label r) ex.locations.(ex.loc.(r)) s)))
+      fmt
+  in
+  try
+    for t = 0 to Array.length ex.thread_start - 2 do
+      Array.fill seen 0 (Array.length seen) (-1);
+      for id = ex.thread_start.(t) to ex.thread_start.(t + 1) - 1 do
+        match ex.kind.(id) with
+        | Write -> seen.(ex.loc.(id)) <- id
+        | Read ->
+          let x = ex.loc.(id) and w = ex.rf.(id) in
+          let s = seen.(x) in
+          if w < s then
+            if writer.(x) = t then
+              fail id "from %s, coherence-before its own po-earlier write %s \
+                       (CoWR)" (source w) (label s)
+            else
+              fail id "from %s, coherence-before %s, which a po-earlier read \
+                       observed (CoRR)" (source w) (label s)
+          else if w > s then
+            if writer.(x) = t then begin
+              (* [w] is an own write after [id]; name the first one *)
+              let next = ref (id + 1) in
+              while ex.kind.(!next) <> Write || ex.loc.(!next) <> x do
+                incr next
+              done;
+              if !next = w then
+                fail id "from its own po-later write %s (CoRW)" (label w)
+              else
+                fail id "from %s, coherence-after its own po-later write %s \
+                         (CoRW)" (label w) (label !next)
+            end
+            else seen.(x) <- w
+        | Fence | Flush -> ()
+      done
+    done;
+    None
+  with Shape m -> Some m
+
+(* The model axiom when every location has one writer thread.  Each thread
+   splits into program-order chains whose consecutive events the model
+   graph orders — SC: one; TSO: reads and fences, and writes; PSO: reads
+   and fences, and the writes of each location — and every other static
+   edge of the graph ([static_edges] below) into a chain head is one of
+   three conditions:
+   - a ppo or fence edge from another chain of its thread: that chain's
+     cursor has passed the head (a write waits for the po-earlier reads
+     and fences, a TSO/PSO fence for the po-earlier writes);
+   - rfe: the read's source write is done;
+   - fr: a write waits until no reader of its predecessor write (or of
+     the initial value, for a first write) is still pending.
+   A head advances only once every edge into it comes from a done event,
+   so advancing is a topological sort.  A sweep over all chains that
+   advances nothing leaves every remaining head waiting on another, which
+   is a cycle.  Worst case O(events × chains); beyond small per-thread
+   tables, the only event-sized state is two int arrays: chain successors
+   and pending-reader counts. *)
+let chain_sweep ~(model : Operational.model) ex ~label =
+  let kind = ex.kind and loc = ex.loc and rf = ex.rf in
+  let ts = ex.thread_start in
+  let n = Array.length kind and nlocs = Array.length ex.locations in
+  let nthreads = Array.length ts - 1 in
+  let k =
+    match model with
+    | Operational.Sc -> 1
+    | Operational.Tso -> 2
+    | Operational.Pso -> 1 + nlocs
+  in
+  (* an event's chain within its thread; TSO/PSO flushes are in none *)
+  let lane id =
+    match (model, kind.(id)) with
+    | Operational.Sc, _ | _, (Read | Fence) -> 0
+    | _, Flush -> -1
+    | Operational.Tso, Write -> 1
+    | Operational.Pso, Write -> 1 + loc.(id)
+  in
+  (* [cur.(t * k + j)]: the head of chain [j] of thread [t], or the
+     thread's end once the chain is done; [next]: an event's successor in
+     its chain.  [pending]: per write, its reads not yet done. *)
+  let cur = Array.make (nthreads * k) 0 in
+  let next = Array.make n 0 in
+  let pending = Array.make n 0 and pending_init = Array.make nlocs 0 in
+  for t = 0 to nthreads - 1 do
+    let base = t * k in
+    Array.fill cur base k ts.(t + 1);
+    for id = ts.(t + 1) - 1 downto ts.(t) do
+      if kind.(id) = Read then begin
+        let w = rf.(id) in
+        if w >= 0 then pending.(w) <- pending.(w) + 1
+        else pending_init.(loc.(id)) <- pending_init.(loc.(id)) + 1
+      end;
+      let j = lane id in
+      if j >= 0 then begin
+        next.(id) <- cur.(base + j);
+        cur.(base + j) <- id
+      end
+    done
+  done;
+  (* per (thread, location): the last done write, -1 before the first *)
+  let last_write = Array.make (nthreads * nlocs) (-1) in
+  let sc = model = Operational.Sc in
+  (* the po-earlier events of the thread's other chains are done *)
+  let po_done t h =
+    let base = t * k in
+    match kind.(h) with
+    | Write -> sc || cur.(base) > h
+    | Fence -> (
+      match model with
+      | Operational.Sc -> true
+      | Operational.Tso -> cur.(base + 1) > h
+      | Operational.Pso ->
+        let rec done_from y =
+          y = nlocs || (cur.(base + 1 + y) > h && done_from (y + 1))
+        in
+        done_from 0)
+    | Read | Flush -> true
+  in
+  (* the write [h] of thread [t]: no read of the value it overwrites is
+     pending *)
+  let fr_done t h =
+    let p = last_write.((t * nlocs) + loc.(h)) in
+    (if p >= 0 then pending.(p) else pending_init.(loc.(h))) = 0
+  in
+  (* every edge into the head [h] of a chain of thread [t] is from a done
+     event *)
+  let ready t h =
+    match kind.(h) with
+    | Read ->
+      let w = rf.(h) in
+      w < 0
+      || (ts.(t) <= w && w < ts.(t + 1))
+      || cur.((thread_of ex w * k) + lane w) > w
+    | Write -> po_done t h && fr_done t h
+    | Fence -> po_done t h
+    | Flush -> true
+  in
+  let advance c =
+    let t = c / k and hi = ts.((c / k) + 1) in
+    let start = cur.(c) in
+    while cur.(c) < hi && ready t cur.(c) do
+      let h = cur.(c) in
+      (match kind.(h) with
+      | Read ->
+        let w = rf.(h) in
+        if w >= 0 then pending.(w) <- pending.(w) - 1
+        else pending_init.(loc.(h)) <- pending_init.(loc.(h)) - 1
+      | Write -> last_write.((t * nlocs) + loc.(h)) <- h
+      | Fence | Flush -> ());
+      cur.(c) <- next.(h)
+    done;
+    cur.(c) <> start
+  in
+  let progress = ref true in
+  while !progress do
+    progress := false;
+    for c = 0 to (nthreads * k) - 1 do
+      if advance c then progress := true
+    done
+  done;
+  let stuck = ref n in
+  Array.iteri
+    (fun c h -> if h < ts.((c / k) + 1) && h < !stuck then stuck := h)
+    cur;
+  if !stuck = n then None
+  else begin
+    let h = !stuck in
+    let t = thread_of ex h in
+    let on = Printf.sprintf "%s [%s]" in
+    let what, why =
+      match kind.(h) with
+      | Read -> (on "read" ex.locations.(loc.(h)), "its source " ^ label rf.(h))
+      | Write when not (po_done t h) ->
+        (on "write" ex.locations.(loc.(h)), "po-earlier reads and fences")
+      | Write ->
+        let p = last_write.((t * nlocs) + loc.(h)) in
+        ( on "write" ex.locations.(loc.(h)),
+          "the readers of " ^ if p >= 0 then label p else "the initial value" )
+      | Fence | Flush -> ("fence", "po-earlier writes")
+    in
+    Some
+      (Printf.sprintf "cycle in %s graph: %s (%s) waits for %s"
+         (Operational.model_to_string model)
+         (label h) what why)
+  end
+
+(* ---------- graphs (search and reference) ---------- *)
 
 (* A CSR adjacency under construction.  Generating the same edges twice
    builds it: the first round of [add]s counts out-degrees; after [seal],
@@ -92,13 +337,12 @@ let build_csrs cs gen =
 
 (* A graph is a CSR adjacency of its static edges (po chains, rf, fr) plus
    per-node lists of the coherence edges search adds and the trail takes
-   back.  Only when some location has writers on several threads is
-   anything searched; then [vc] holds one vector clock per node over the
-   coherence chains (each such location's per-thread write sequences):
-   [vc.(v * nchains + c)] is the highest position in chain [c] of a write
-   with a path to [v], which makes reachability from a chain write one
-   lookup.  Otherwise [dyn] and [vc] are empty and a check is two Kahn
-   passes. *)
+   back.  Graphs are built only when some location has writers on several
+   threads, and for {!check_graphs}.  [vc] holds one vector clock per node
+   over the coherence chains (each multi-writer location's per-thread
+   write sequences): [vc.(v * nchains + c)] is the highest position in
+   chain [c] of a write with a path to [v], which makes reachability from
+   a chain write one lookup. *)
 type graph = {
   gname : string;
   edges : csr;
@@ -208,6 +452,7 @@ type state = {
   readers : int array;
   indeg : int array;     (* scratch for the topological pass *)
   topo : int array;      (* scratch: topological order of node ids *)
+  label : int -> string;
   mutable trail : (unit -> unit) list;
   mutable decisions : int;
   mutable backtracks : int;
@@ -220,19 +465,17 @@ let push_clock (vc : int array) nc ~u ~cu ~(pu : int) v =
   done;
   if cu >= 0 && pu > vc.(bv + cu) then vc.(bv + cu) <- pu
 
-(* Kahn's topological sort (the cycle check), then the vector-clock pass
-   when anything is searched. *)
+(* Kahn's topological sort (the cycle check), then the vector-clock
+   pass. *)
 let recompute st g =
   let n = st.n and indeg = st.indeg and topo = st.topo in
   let off = g.edges.off and dst = g.edges.dst and dyn = g.dyn in
-  let searching = Array.length dyn > 0 in
   Array.fill indeg 0 n 0;
   for i = 0 to Array.length dst - 1 do
     let v = dst.(i) in
     indeg.(v) <- indeg.(v) + 1
   done;
-  if searching then
-    Array.iter (List.iter (fun v -> indeg.(v) <- indeg.(v) + 1)) dyn;
+  Array.iter (List.iter (fun v -> indeg.(v) <- indeg.(v) + 1)) dyn;
   let count = ref 0 in
   for u = 0 to n - 1 do
     if indeg.(u) = 0 then begin
@@ -255,22 +498,27 @@ let recompute st g =
     for i = off.(u) to off.(u + 1) - 1 do
       release dst.(i)
     done;
-    if searching then List.iter release dyn.(u)
+    List.iter release dyn.(u)
   done;
-  if !count < n then Error (Printf.sprintf "cycle in %s graph" g.gname)
+  if !count < n then begin
+    (* the first event Kahn never released *)
+    let u = ref 0 in
+    while indeg.(!u) = 0 do
+      incr u
+    done;
+    Error (Printf.sprintf "cycle in %s graph: %s" g.gname (st.label !u))
+  end
   else begin
-    if searching then begin
-      let nc = st.nchains and vc = g.vc in
-      Array.fill vc 0 (n * nc) (-1);
-      for i = 0 to n - 1 do
-        let u = topo.(i) in
-        let cu = st.chain_of.(u) and pu = st.pos_of.(u) in
-        for j = off.(u) to off.(u + 1) - 1 do
-          push_clock vc nc ~u ~cu ~pu dst.(j)
-        done;
-        List.iter (push_clock vc nc ~u ~cu ~pu) dyn.(u)
-      done
-    end;
+    let nc = st.nchains and vc = g.vc in
+    Array.fill vc 0 (n * nc) (-1);
+    for i = 0 to n - 1 do
+      let u = topo.(i) in
+      let cu = st.chain_of.(u) and pu = st.pos_of.(u) in
+      for j = off.(u) to off.(u + 1) - 1 do
+        push_clock vc nc ~u ~cu ~pu dst.(j)
+      done;
+      List.iter (push_clock vc nc ~u ~cu ~pu) dyn.(u)
+    done;
     Ok ()
   end
 
@@ -437,25 +685,19 @@ let rec solve st =
 
 (* ---------- static construction ---------- *)
 
-let build ~(model : Operational.model) ex ~extra =
+let build ~(model : Operational.model) ex ~extra ~label =
   let n = Array.length ex.kind in
   let nlocs = Array.length ex.locations in
   let nthreads = Array.length ex.thread_start - 1 in
   let first_use = Array.make nlocs max_int in
   for id = n - 1 downto 0 do
-    let k = ex.kind.(id) in
-    if k <> Fence then first_use.(ex.loc.(id)) <- id;
-    let w = ex.rf.(id) in
-    if
-      k = Read && w <> -1
-      && (w < 0 || w >= n || ex.kind.(w) <> Write || ex.loc.(w) <> ex.loc.(id))
-    then invalid_arg "Solver: rf source is not a same-location write"
+    if ex.kind.(id) <> Fence then first_use.(ex.loc.(id)) <- id
   done;
   (* Per-(thread, location) write chains as links: the po-forced spine of
      every coherence order. *)
   let next_write = Array.make n (-1) in
   let first_write = Array.make (nthreads * nlocs) (-1) in
-  let writer_threads = Array.make nlocs 0 in
+  let nwriters = Array.make nlocs 0 in
   for t = 0 to nthreads - 1 do
     let base = t * nlocs in
     for id = ex.thread_start.(t + 1) - 1 downto ex.thread_start.(t) do
@@ -467,18 +709,16 @@ let build ~(model : Operational.model) ex ~extra =
     done;
     for x = 0 to nlocs - 1 do
       if first_write.(base + x) >= 0 then
-        writer_threads.(x) <- writer_threads.(x) + 1
+        nwriters.(x) <- nwriters.(x) + 1
     done
   done;
   (* Coherence merges for locations written by more than one thread, in
      first-use order (the order search visits them). *)
   let merge_locs =
-    List.filter (fun x -> writer_threads.(x) >= 2) (List.init nlocs Fun.id)
+    List.filter (fun x -> nwriters.(x) >= 2) (List.init nlocs Fun.id)
     |> List.sort (fun a b -> compare first_use.(a) first_use.(b))
   in
-  let searching = merge_locs <> [] in
-  let chain_of = Array.make (if searching then n else 0) (-1) in
-  let pos_of = Array.make (if searching then n else 0) (-1) in
+  let chain_of = Array.make n (-1) and pos_of = Array.make n (-1) in
   let nchains = ref 0 in
   let merges =
     List.map
@@ -510,23 +750,17 @@ let build ~(model : Operational.model) ex ~extra =
       merge_locs
   in
   let nchains = !nchains in
-  (* write -> the reads sourced from it, as CSR; only search consults it *)
-  let rd = csr (if searching then n else 0) in
-  if searching then
-    build_csrs [ rd ] (fun () ->
-        for r = 0 to n - 1 do
-          if ex.kind.(r) = Read && ex.rf.(r) >= 0 then add rd ex.rf.(r) r
-        done);
+  (* write -> the reads sourced from it, as CSR *)
+  let rd = csr n in
+  build_csrs [ rd ] (fun () ->
+      for r = 0 to n - 1 do
+        if ex.kind.(r) = Read && ex.rf.(r) >= 0 then add rd ex.rf.(r) r
+      done);
   let uni = csr n and mg = csr n in
   build_csrs [ uni; mg ] (fun () ->
       static_edges ~model ex ~next_write ~first_write ~extra ~uni ~mg);
   let graph gname edges =
-    {
-      gname;
-      edges;
-      dyn = (if searching then Array.make n [] else [||]);
-      vc = (if searching then Array.make (n * nchains) (-1) else [||]);
-    }
+    { gname; edges; dyn = Array.make n []; vc = Array.make (n * nchains) (-1) }
   in
   {
     n;
@@ -540,13 +774,15 @@ let build ~(model : Operational.model) ex ~extra =
     readers = rd.dst;
     indeg = Array.make n 0;
     topo = Array.make n 0;
+    label;
     trail = [];
     decisions = 0;
     backtracks = 0;
   }
 
-let check_exec ?(extra = []) model ex =
-  let st = build ~model ex ~extra in
+(* [ex] has passed [writer_threads]. *)
+let solve_graphs ~extra ~label model ex =
+  let st = build ~model ex ~extra ~label in
   let verdict consistent violation =
     {
       consistent;
@@ -560,7 +796,32 @@ let check_exec ?(extra = []) model ex =
   | Ok () -> verdict true None
   | Error reason -> verdict false (Some reason)
 
-let check model ex = check_exec model ex
+let check_graphs model ex =
+  ignore (writer_threads ex);
+  solve_graphs ~extra:[] ~label:(default_label ex) model ex
+
+(* Extra ws edges ([Loc_eq] targets) can contradict program order, so
+   they take the graph path too. *)
+let check_exec ?(extra = []) ?label model ex =
+  let label = match label with Some f -> f | None -> default_label ex in
+  let writer = writer_threads ex in
+  if extra <> [] || Array.exists (fun w -> w = -2) writer then
+    solve_graphs ~extra ~label model ex
+  else
+    let violation =
+      match coherence_scan ex ~writer ~label with
+      | Some _ as v -> v
+      | None -> chain_sweep ~model ex ~label
+    in
+    {
+      consistent = violation = None;
+      events = Array.length ex.kind;
+      violation;
+      decisions = 0;
+      backtracks = 0;
+    }
+
+let check ?label model ex = check_exec ?label model ex
 
 (* ---------- whole-trace verification ---------- *)
 

@@ -4,14 +4,17 @@
     enumeration) and {!Axiomatic} (candidate-execution enumeration).  An
     execution is a {e constraint problem}: the reads-from source of every
     load and the coherence order of every location are variables, and
-    validity is acyclicity of two incrementally maintained graphs — uniproc
-    [po-loc ∪ rf ∪ ws ∪ fr] and the per-model graph ([po] for SC, the
-    reduced [ppo ∪ fenced ∪ rfe] chains for TSO/PSO) — with derived [fr]
-    edges materialized by unit propagation.  Coherence pairs forced by
-    reachability are oriented without search (the Chakraborty-style
-    polynomial fast path, which decides every execution with a fully known
-    [rf] and no free write-write races outright); a hand-rolled DPLL core
-    branches on the remaining interleaving points with trail-based undo.
+    validity is acyclicity of two graphs — uniproc [po-loc ∪ rf ∪ ws ∪ fr]
+    and the per-model graph ([po] for SC, the reduced [ppo ∪ fenced ∪ rfe]
+    chains for TSO/PSO).  When every location has one writer thread, the
+    coherence orders are fixed by program order and no graph is built:
+    uniproc is one coherence-shape scan and the model axiom a sweep over
+    per-thread program-order chains.  Otherwise both graphs are maintained
+    incrementally, with derived [fr] edges materialized by unit
+    propagation; coherence pairs forced by reachability are oriented
+    without search (the Chakraborty-style polynomial fast path), and a
+    hand-rolled DPLL core branches on the remaining interleaving points
+    with trail-based undo.
 
     Because the per-location coherence orders are solved rather than
     enumerated, the solver classifies executions far beyond the
@@ -62,7 +65,11 @@ type verdict = {
   consistent : bool;
   events : int;
   violation : string option;
-      (** which acyclicity axiom broke, when inconsistent *)
+      (** which acyclicity axiom broke, when inconsistent:
+          [cycle in <graph> graph: ...] naming the first stuck event (for
+          a uniproc shape, the read and the two writes it orders), or
+          [no admissible coherence ...]/[exhausted coherence ...] from
+          search *)
   decisions : int;  (** free coherence choices explored; [0] means the
                         polynomial fast path decided the execution *)
   backtracks : int;  (** abandoned search branches *)
@@ -84,14 +91,29 @@ type execution = {
 (** One concrete execution as flat arrays — the kernel's input, built
     without boxing an event. *)
 
-val check : Operational.model -> execution -> verdict
+val check :
+  ?label:(int -> string) -> Operational.model -> execution -> verdict
 (** Verify one concrete execution against the model's axioms.  Only the
     coherence orders are solved for.  When no location has writers on
-    more than one thread, they are forced, and the check is two
-    topological passes over static CSR graphs with no vector clocks.
+    more than one thread, they are forced, and the check is linear with
+    no graph: a coherence scan for uniproc (CoRR, CoWR and CoRW shapes),
+    then a sweep advancing per-thread program-order chains (SC: one; TSO:
+    reads and fences, writes; PSO: reads and fences, writes per location)
+    while their rfe, fr and cross-chain ppo sources are done.  Otherwise
+    the CSR graphs of {!check_graphs} are searched.  [label] names an
+    event id in the violation (default ["thread T event ID"]).
 
     @raise Invalid_argument if a read's source is not a same-location
     write. *)
+
+val check_graphs : Operational.model -> execution -> verdict
+(** {!check} through the graph path for every execution: both graphs as
+    CSR arrays, Kahn passes and, for multi-writer locations, the coherence
+    search.  The reference the tests hold {!check}'s single-writer path
+    to: [consistent], [events], [decisions] and [backtracks] agree, and a
+    violation names the same graph.
+
+    @raise Invalid_argument as {!check}. *)
 
 type trace_event =
   | T_write of string  (** store to a location *)

@@ -403,6 +403,53 @@ let test_solver_trace_violation () =
   let v = Solver.classify_trace Operational.Pso (mp_trace 500) in
   check Alcotest.bool "PSO allows stale mp" true v.Solver.consistent
 
+(* Violations say where they are: a uniproc shape names the read and the
+   two writes it orders; a model-graph cycle names the first stuck event
+   and what it waits for. *)
+let test_solver_trace_where () =
+  let violation threads =
+    Option.value ~default:"(consistent)"
+      (Solver.classify_trace Operational.Tso threads).Solver.violation
+  in
+  let w = Solver.T_write "x" and r src = Solver.T_read ("x", src) in
+  check Alcotest.string "CoRR"
+    "cycle in uniproc graph: thread 1 event 3 reads [x] from thread 0 event \
+     0, coherence-before thread 0 event 1, which a po-earlier read observed \
+     (CoRR)"
+    (violation [| [| w; w |]; [| r (Some 1); r (Some 0) |] |]);
+  check Alcotest.string "CoWR"
+    "cycle in uniproc graph: thread 0 event 1 reads [x] from the initial \
+     value, coherence-before its own po-earlier write thread 0 event 0 (CoWR)"
+    (violation [| [| w; r None |] |]);
+  check Alcotest.string "CoRW"
+    "cycle in uniproc graph: thread 0 event 0 reads [x] from its own \
+     po-later write thread 0 event 1 (CoRW)"
+    (violation [| [| r (Some 1); w |] |]);
+  check Alcotest.string "CoRW past the next own write"
+    "cycle in uniproc graph: thread 0 event 0 reads [x] from thread 0 event \
+     2, coherence-after its own po-later write thread 0 event 1 (CoRW)"
+    (violation [| [| r (Some 2); w; w |] |]);
+  (* mp's stale read of x: t0's first write of x waits for t1's read of
+     the initial x, which waits (via t1's read of y) for t0's write of y
+     behind it *)
+  check Alcotest.string "model graph: first stuck event"
+    "cycle in TSO graph: thread 0 event 0 (write [x]) waits for the readers \
+     of the initial value"
+    (violation (mp_trace 3))
+
+(* A read's source must be a same-location write, on either path. *)
+let test_solver_rf_validated () =
+  let rejects name threads =
+    Alcotest.check_raises name
+      (Invalid_argument "Solver: rf source is not a same-location write")
+      (fun () -> ignore (Solver.classify_trace Operational.Tso threads))
+  in
+  let w x = Solver.T_write x and r src = Solver.T_read ("x", Some src) in
+  rejects "another location" [| [| w "y"; r 0 |] |];
+  rejects "a fence" [| [| Solver.T_fence; r 0 |] |];
+  rejects "out of range" [| [| r 5 |] |];
+  rejects "multi-writer trace" [| [| w "x"; w "y" |]; [| w "x"; r 1 |] |]
+
 let test_solver_trace_search () =
   (* Two threads race stores to one location with no reads: nothing
      forces the interleaving, so the fast path stalls and the DPLL
@@ -667,6 +714,10 @@ let suite =
         Alcotest.test_case "2000-event trace" `Quick test_solver_trace_long;
         Alcotest.test_case "perpetual mp violation" `Quick
           test_solver_trace_violation;
+        Alcotest.test_case "violations say where" `Quick
+          test_solver_trace_where;
+        Alcotest.test_case "rf sources validated" `Quick
+          test_solver_rf_validated;
         Alcotest.test_case "write-race search" `Quick
           test_solver_trace_search;
         QCheck_alcotest.to_alcotest trace_oracle_property;

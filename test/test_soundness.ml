@@ -272,6 +272,200 @@ let test_trace_value_bounded () =
   check Alcotest.bool "the one after it does not" true
     (undecodable (verify (retired + 2)))
 
+(* --- The single-writer path against the graph reference ------------------ *)
+
+module Solver = Perple_memmodel.Solver
+
+(* Catalog tests where no location has stores on two threads: their whole
+   traces take {!Solver.check}'s graph-free path, which {!Solver.check_graphs}
+   (CSR graphs, Kahn passes) checks edge by edge.  Multi-writer tests run
+   the same search in both and are left out. *)
+let single_writer_tests =
+  List.filter_map
+    (fun (e : Catalog.entry) ->
+      (* each thread's stored locations, once per thread *)
+      let stored =
+        Array.to_list e.Catalog.test.Ast.threads
+        |> List.concat_map (fun instrs ->
+               Array.to_list instrs
+               |> List.filter_map (function
+                    | Ast.Store (x, _) -> Some x
+                    | _ -> None)
+               |> List.sort_uniq compare)
+      in
+      match Convert.convert e.Catalog.test with
+      | Ok conv
+        when List.length stored = List.length (List.sort_uniq compare stored)
+        ->
+        Some conv
+      | _ -> None)
+    Catalog.suite
+
+let all_configs =
+  [
+    Config.Sc;
+    Config.Tso;
+    Config.Pso;
+    Config.Tso_store_reorder;
+    Config.Tso_fence_ignored;
+  ]
+
+(* A run with one load overwritten by another value of its location that
+   still decodes: the initial value, or some store's value from an
+   iteration its writer reached.  A third of the picks take any such value
+   (mostly uniproc shapes); a third stay within two iterations of the
+   value read; a third give a load of its thread's last retired iteration
+   one of the newest values, which nothing later in the thread
+   contradicts, so the cycles it closes run through the model graph. *)
+let corrupt_load (conv : Convert.t) (run : Perpetual.run) pick =
+  let rand = Random.State.make [| pick |] in
+  let int n = Random.State.int rand n in
+  let choose l = List.nth l (int (List.length l)) in
+  let retired = run.Perpetual.machine.Perple_sim.Machine.iterations_retired in
+  let threads = conv.Convert.test.Ast.threads in
+  let loads t =
+    List.filter_map
+      (function Ast.Load (_, x) -> Some x | _ -> None)
+      (Array.to_list threads.(t))
+  in
+  match
+    List.filter
+      (fun t -> retired.(t) > 0 && loads t <> [])
+      (List.init (Array.length threads) Fun.id)
+  with
+  | [] -> run
+  | readers ->
+    let t = choose readers in
+    let s = int (List.length (loads t)) in
+    let x = List.nth (loads t) s in
+    let stores =
+      List.filter
+        (fun (st : Convert.store) -> st.Convert.location = x)
+        conv.Convert.stores
+    in
+    let slot i = (run.Perpetual.t_reads.(t) * i) + s in
+    let at (st : Convert.store) it =
+      Convert.seq_value st
+        ~iteration:(max 0 (min it retired.(st.Convert.thread)))
+    in
+    let i, value =
+      match (int 3, stores) with
+      | _, [] -> (0, 0) (* nothing stores [x]: every value read is 0 *)
+      | 0, _ ->
+        let st = choose stores in
+        ( int retired.(t),
+          if int 8 = 0 then 0
+          else at st (int (retired.(st.Convert.thread) + 1)) )
+      | 1, st0 :: _ -> (
+        let i = int retired.(t) in
+        let old = run.Perpetual.bufs.(t).(slot i) in
+        let d = choose [ -2; -1; 1; 2 ] in
+        match Convert.member conv ~loc_id:st0.Convert.loc_id ~value:old with
+        | Some st -> (i, at st (Convert.iteration_of st ~value:old + d))
+        | None -> (i, at (choose stores) (abs d - 1)) (* was the initial value *))
+      | _ ->
+        let st = choose stores in
+        (retired.(t) - 1, at st (retired.(st.Convert.thread) - int 3))
+    in
+    let bufs = Array.map Array.copy run.Perpetual.bufs in
+    bufs.(t).(slot i) <- value;
+    { run with Perpetual.bufs }
+
+let graph_of (v : Solver.verdict) =
+  Option.map
+    (fun m -> List.hd (String.split_on_char ':' m))
+    v.Solver.violation
+
+let single_writer_gen =
+  QCheck.Gen.(
+    tup5
+      (int_bound (List.length single_writer_tests - 1))
+      (oneofl all_configs) (int_bound 10_000) (int_range 50 3000)
+      (opt ~ratio:0.5 (int_bound 1_000_000)))
+
+let single_writer_execution (ti, config, seed, iterations, pick) =
+  let conv = List.nth single_writer_tests ti in
+  let _, run =
+    perpetual_for
+      (Config.with_model config Config.default)
+      seed conv.Convert.test ~iterations
+  in
+  let run = match pick with None -> run | Some p -> corrupt_load conv run p in
+  Trace_check.execution conv run
+
+let single_writer_agrees_property =
+  let print (ti, config, seed, iterations, pick) =
+    Printf.sprintf "%s on %s, seed %d, %d iterations, corrupt %s"
+      (List.nth single_writer_tests ti).Convert.test.Ast.name
+      (Config.model_name config) seed iterations
+      (match pick with None -> "none" | Some p -> string_of_int p)
+  in
+  QCheck.Test.make
+    ~name:"check = check_graphs on single-writer perpetual traces" ~count:500
+    (QCheck.make ~print single_writer_gen)
+    (fun case ->
+      let e = single_writer_execution case in
+      List.for_all
+        (fun (_, model) ->
+          let v = Solver.check model e and g = Solver.check_graphs model e in
+          v.Solver.consistent = g.Solver.consistent
+          && v.Solver.events = g.Solver.events
+          && v.Solver.decisions = g.Solver.decisions
+          && v.Solver.backtracks = g.Solver.backtracks
+          && graph_of v = graph_of g)
+        model_pairs)
+
+(* The property's inputs reach every verdict: consistent traces, uniproc
+   shapes and model-graph cycles. *)
+let test_single_writer_coverage () =
+  let verdicts =
+    List.concat_map
+      (fun case ->
+        let e = single_writer_execution case in
+        List.map (fun (_, model) -> Solver.check model e) model_pairs)
+      (QCheck.Gen.generate ~rand:(Random.State.make [| 11 |]) ~n:60
+         single_writer_gen)
+  in
+  let seen graph = List.exists (fun v -> graph_of v = graph) verdicts in
+  check Alcotest.bool "consistent" true (seen None);
+  check Alcotest.bool "uniproc violation" true
+    (seen (Some "cycle in uniproc graph"));
+  List.iter
+    (fun model ->
+      check Alcotest.bool (model ^ " violation") true
+        (seen (Some ("cycle in " ^ model ^ " graph"))))
+    [ "SC"; "TSO"; "PSO" ]
+
+(* A violation names where it is: the planted store-reorder bug's mp
+   trace, with the thread, iteration and event id of the first stuck
+   event agreeing with the execution's own layout (mp: two events per
+   iteration on both threads). *)
+let test_violation_names_event () =
+  let rec first_violation seed =
+    let conv, run =
+      perpetual_for
+        (Config.with_model Config.Tso_store_reorder Config.default)
+        seed Catalog.mp ~iterations:500
+    in
+    let v = Trace_check.verify ~model:Operational.Tso conv run in
+    if v.Solver.consistent then first_violation (seed + 1) else (conv, run, v)
+  in
+  let conv, run, v = first_violation 3 in
+  let m = Option.get v.Solver.violation in
+  let prefix, rest =
+    match String.index_opt m ':' with
+    | Some i -> (String.sub m 0 i, String.sub m (i + 2) (String.length m - i - 2))
+    | None -> Alcotest.failf "no location in %S" m
+  in
+  check Alcotest.bool "keeps the graph prefix" true
+    (List.mem prefix [ "cycle in uniproc graph"; "cycle in TSO graph" ]);
+  let e = Trace_check.execution conv run in
+  Scanf.sscanf rest "thread %d iteration %d event %d" (fun t i id ->
+      let lo = e.Solver.thread_start.(t) in
+      check Alcotest.bool "event lies in its thread" true
+        (lo <= id && id < e.Solver.thread_start.(t + 1));
+      check Alcotest.int "iteration of the event" ((id - lo) / 2) i)
+
 let suite =
   [
     ( "soundness",
@@ -294,5 +488,10 @@ let suite =
           test_trace_detects_planted_bugs;
         Alcotest.test_case "load values cannot outgrow the run" `Quick
           test_trace_value_bounded;
+        QCheck_alcotest.to_alcotest single_writer_agrees_property;
+        Alcotest.test_case "single-writer inputs cover every verdict" `Quick
+          test_single_writer_coverage;
+        Alcotest.test_case "violations name their event" `Quick
+          test_violation_names_event;
       ] );
   ]
