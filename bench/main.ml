@@ -51,6 +51,7 @@ module Metrics = Perple_util.Metrics
 (* --- Prepared state shared by the micro-benchmarks ----------------------- *)
 
 let sb_conv = lazy (Result.get_ok (Convert.convert Catalog.sb))
+let iriw_conv = lazy (Result.get_ok (Convert.convert (Catalog.find_exn "iriw")))
 
 let prepared_run iterations =
   lazy
@@ -141,6 +142,8 @@ let frames_per_run =
     ("fig10:heuristic-count-1k", 1_000);
     ("fig10:heuristic-count-4k", 4_000);
     ("fig11:engine-end-to-end-1k", 1_000);
+    ("machine:perpetual-sb-100k", 100_000);
+    ("machine:perpetual-iriw-50k", 50_000);
     ("fig12:skew-measure-4k", 4_000);
     ("fig13:variety-count-1k", 1_000);
     ("overall:litmus7-user-500", 500);
@@ -213,6 +216,17 @@ let micro_tests =
     Test.make ~name:"fig11:engine-end-to-end-1k"
       (Staged.stage (fun () ->
            Engine.run ~seed:3 ~iterations:1_000 Catalog.sb));
+    (* The machine alone: one hook-free perpetual run, no counting. *)
+    Test.make ~name:"machine:perpetual-sb-100k"
+      (Staged.stage (fun () ->
+           let conv = Lazy.force sb_conv in
+           Perpetual.run ~rng:(Rng.create 5) ~image:conv.Convert.image
+             ~t_reads:conv.Convert.t_reads ~iterations:100_000 ()));
+    Test.make ~name:"machine:perpetual-iriw-50k"
+      (Staged.stage (fun () ->
+           let conv = Lazy.force iriw_conv in
+           Perpetual.run ~rng:(Rng.create 5) ~image:conv.Convert.image
+             ~t_reads:conv.Convert.t_reads ~iterations:50_000 ()));
     (* Fig 12: skew measurement by value decoding. *)
     Test.make ~name:"fig12:skew-measure-4k"
       (Staged.stage (fun () ->

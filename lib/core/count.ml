@@ -113,17 +113,19 @@ let heuristic (conv : Convert.t) ~outcomes ~run =
   let counts = Array.make nout 0 in
   let bufs = run.Perpetual.bufs in
   let evaluations = ref 0 in
+  (* First match per iteration, as a loop: a local recursive function
+     here would allocate its closure once per iteration. *)
   for i = 0 to n - 1 do
-    let rec first j =
-      if j >= nout then ()
-      else begin
-        incr evaluations;
-        if Outcome_convert.eval_compiled compiled.(j) ~bufs ~iterations:n ~n:i
-        then counts.(j) <- counts.(j) + 1
-        else first (j + 1)
+    let j = ref 0 in
+    while !j < nout do
+      incr evaluations;
+      if Outcome_convert.eval_compiled compiled.(!j) ~bufs ~iterations:n ~n:i
+      then begin
+        counts.(!j) <- counts.(!j) + 1;
+        j := nout
       end
-    in
-    first 0
+      else incr j
+    done
   done;
   { counts; frames_examined = n; evaluations = !evaluations }
 

@@ -22,22 +22,27 @@ let run ?(config = Config.default) ?on_sample ?on_event ?on_iteration_end
     Array.map (fun r -> Array.make (r * iterations) 0) t_reads
   in
   let stats =
-    Machine.run ~config ~rng ~image ~iterations ~barrier:Machine.No_barrier
-      ?on_sample ?on_event ?watchdog
-      ~on_iteration_end:(fun ~thread ~iteration ~regs ->
-        if thread < nthreads then begin
-          let r = t_reads.(thread) in
-          if r > 0 then begin
-            let base = r * iteration in
-            for i = 0 to r - 1 do
-              bufs.(thread).(base + i) <- regs.(i)
-            done
-          end
-        end;
-        match on_iteration_end with
-        | Some hook -> hook ~thread ~iteration ~regs
-        | None -> ())
-      ()
+    match (on_sample, on_event, on_iteration_end, watchdog) with
+    | None, None, None, None
+      when config.Config.faults = [] && not (Program.uses_persistency image) ->
+      Machine.run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs
+    | _ ->
+      Machine.run ~config ~rng ~image ~iterations ~barrier:Machine.No_barrier
+        ?on_sample ?on_event ?watchdog
+        ~on_iteration_end:(fun ~thread ~iteration ~regs ->
+          if thread < nthreads then begin
+            let r = t_reads.(thread) in
+            if r > 0 then begin
+              let base = r * iteration in
+              for i = 0 to r - 1 do
+                bufs.(thread).(base + i) <- regs.(i)
+              done
+            end
+          end;
+          match on_iteration_end with
+          | Some hook -> hook ~thread ~iteration ~regs
+          | None -> ())
+        ()
   in
   {
     bufs;

@@ -51,7 +51,16 @@ val run :
     same iteration; the [regs] array is the machine's live register file
     (see {!Perple_sim.Machine.run} — copy if retained).  [watchdog] is
     forwarded to the machine; when it aborts, the returned [bufs] are
-    valid over the retired prefix only (see {!retired}). *)
+    valid over the retired prefix only (see {!retired}).
+
+    Which machine path runs is decided here, from these inputs only.
+    With no [on_sample], [on_event], [on_iteration_end] or [watchdog],
+    [config.faults = []] and no [Flush]/[Drain] in the stress-extended
+    image, the run goes through the hook-free kernel
+    {!Perple_sim.Machine.run_perpetual}, which writes loaded values
+    straight into [bufs]; otherwise through {!Perple_sim.Machine.run}
+    with a per-iteration register copy.  Both give the same [run] — and
+    the same metrics and trace span — for the same seed. *)
 
 val retired : run -> int
 (** The number of iterations every test thread fully retired — the

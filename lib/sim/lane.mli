@@ -6,7 +6,7 @@
     {e lanes}, rather than from boxed {!Perple_util.Rng} draws.  This
     module holds the pure shared pieces — the mixer, probability
     thresholds, and cached geometric inverse-CDF tables; the machine
-    keeps the stream state in local mutables.
+    keeps the stream state in one mutable record per run.
 
     The switch from [Rng] is the documented one-time remap of the
     machine's random stream (see docs/internals.md, "Performance"):

@@ -86,6 +86,148 @@ let image_uses_indexed (image : Program.image) =
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
+(* The lane stream: one native-int splitmix state plus the unread 16-bit
+   lanes of its latest mix.  The round loop advances [lstate] itself for
+   its positional progress mix ([round_mix]); every other draw takes the
+   next sequential lane ([lane_next]). *)
+type lanes = { mutable lstate : int; mutable lbuf : int; mutable lcnt : int }
+
+let lanes_of_rng rng =
+  { lstate = Int64.to_int (Rng.bits64 rng) land max_int; lbuf = 0; lcnt = 0 }
+
+let[@inline] lane_next ls =
+  if ls.lcnt = 0 then begin
+    ls.lstate <- (ls.lstate + Lane.gamma) land max_int;
+    let z = Lane.mix ls.lstate in
+    ls.lbuf <- z lsr 16;
+    ls.lcnt <- 2;
+    z land 0xFFFF
+  end
+  else begin
+    let b = ls.lbuf in
+    ls.lbuf <- b lsr 16;
+    ls.lcnt <- ls.lcnt - 1;
+    b land 0xFFFF
+  end
+
+let[@inline] round_mix ls =
+  ls.lstate <- (ls.lstate + Lane.gamma) land max_int;
+  Lane.mix ls.lstate
+
+(* Store buffers are flat rings: a buffer of [len] entries keeps its
+   [k]-th oldest entry at [base + ((start + k) land mask)] of three
+   parallel arrays (location, cell, value).
+
+   [drain_pick] is the oldest-first position the next drain takes from a
+   non-empty ring: always the oldest under the FIFO models; uniform over
+   positions under [Tso_store_reorder] (buggy hardware: any entry may
+   drain first); under [Pso] the oldest entry of a uniformly chosen
+   buffered location (FIFO per location, reorderable across locations;
+   [pso_locs] is scratch for the distinct locations in ascending id
+   order).  A lane is drawn only when there is a choice to make. *)
+let drain_pick model ~lane ~nlocs ~pso_locs ~sb_loc ~base ~start ~mask ~len =
+  match model with
+  | Config.Tso_store_reorder ->
+    if len = 1 then 0 else (lane () * len) lsr Lane.lane_bits
+  | Config.Pso ->
+    if len = 1 then 0
+    else begin
+      let count = ref 0 in
+      for l = 0 to nlocs - 1 do
+        let present = ref false in
+        for k = 0 to len - 1 do
+          if Array.unsafe_get sb_loc (base + ((start + k) land mask)) = l then
+            present := true
+        done;
+        if !present then begin
+          pso_locs.(!count) <- l;
+          incr count
+        end
+      done;
+      let loc =
+        if !count = 1 then pso_locs.(0)
+        else pso_locs.((lane () * !count) lsr Lane.lane_bits)
+      in
+      (* Oldest entry of [loc]: first match oldest-first. *)
+      let k = ref 0 in
+      while Array.unsafe_get sb_loc (base + ((start + !k) land mask)) <> loc do
+        incr k
+      done;
+      !k
+    end
+  | Config.Sc | Config.Tso | Config.Tso_fence_ignored -> 0
+
+(* Remove oldest-first position [i] from a ring, preserving the order of
+   the rest: shift the older side up one slot.  The caller then advances
+   the ring's start by one and shortens it. *)
+let ring_remove_at ~sb_loc ~sb_cell ~sb_val ~base ~start ~mask i =
+  for k = i downto 1 do
+    let dst = base + ((start + k) land mask) in
+    let src = base + ((start + k - 1) land mask) in
+    Array.unsafe_set sb_loc dst (Array.unsafe_get sb_loc src);
+    Array.unsafe_set sb_cell dst (Array.unsafe_get sb_cell src);
+    Array.unsafe_set sb_val dst (Array.unsafe_get sb_val src)
+  done
+
+(* Memory as one flat int array, [loc * cells + cell]. *)
+let initial_memory (image : Program.image) ~cells =
+  let memory =
+    Array.make (Array.length image.Program.location_names * cells) 0
+  in
+  Array.iteri
+    (fun l init -> Array.fill memory (l * cells) cells init)
+    image.Program.init;
+  memory
+
+(* OS jitter as two geometric skip tables, (rounds between preemptions,
+   stall length); empty when jitter is off. *)
+let jitter_tables config =
+  if config.Config.jitter_chance > 0.0 then
+    ( Lane.geometric_table (min 1.0 config.Config.jitter_chance),
+      Lane.geometric_table
+        (1.0 /. float_of_int (max 1 config.Config.jitter_mean)) )
+  else ([||], [||])
+
+(* Whether a fence waits for an empty store buffer: not under SC (no
+   buffer) nor under the fence-ignored bug. *)
+let fence_waits = function
+  | Config.Tso | Config.Pso | Config.Tso_store_reorder -> true
+  | Config.Sc | Config.Tso_fence_ignored -> false
+
+(* Report a finished run to the ambient sink (counters plus the
+   store-buffer occupancy histogram, accumulated locally in [occ_hist]
+   and flushed once per run) and to the trace ([machine.run] span), then
+   return its stats. *)
+let publish ~mx ~trace_start ~iterations ~occ_hist stats =
+  (match mx with
+  | Some m ->
+    Metrics.add m "machine.runs" 1;
+    Metrics.add m "machine.rounds" stats.rounds;
+    Metrics.add m "machine.instructions" stats.instructions;
+    Metrics.add m "machine.drains" stats.drains;
+    Metrics.add m "machine.barriers" stats.barriers;
+    Metrics.add m "machine.stalls" stats.stalls;
+    Metrics.add m "machine.lost_stores" stats.lost_stores;
+    Metrics.add m
+      ("machine.termination." ^ termination_name stats.termination)
+      1;
+    Array.iteri
+      (fun occ count ->
+        if count > 0 then
+          Metrics.observe_many m "machine.buffer_occupancy" occ count)
+      occ_hist
+  | None -> ());
+  Trace_event.complete ~name:"machine.run" ~since:trace_start
+    ~args:
+      [
+        ("rounds", Trace_event.Int stats.rounds);
+        ("instructions", Trace_event.Int stats.instructions);
+        ("iterations", Trace_event.Int iterations);
+        ("termination", Trace_event.String (termination_name stats.termination));
+      ]
+    ();
+  stats
+
 let run ?on_iteration_end ?on_sample ?on_event ?watchdog
     ?(sample_interval = 64) ~config ~rng ~image ~iterations ~barrier () =
   if iterations <= 0 then invalid_arg "Machine.run: iterations must be > 0";
@@ -99,11 +241,7 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
   let nthreads = Array.length image.Program.programs in
   let nlocs = Array.length image.Program.location_names in
   let cells = if image_uses_indexed image then iterations else 1 in
-  (* Memory as one flat int array, [loc * cells + cell]. *)
-  let memory = Array.make (nlocs * cells) 0 in
-  Array.iteri
-    (fun l init -> Array.fill memory (l * cells) cells init)
-    image.Program.init;
+  let memory = initial_memory image ~cells in
   (* The persistence domain exists only for programs that exercise it, so
      ordinary runs allocate nothing for it. *)
   let pmem =
@@ -181,39 +319,15 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
      from the same stream via [lane ()].  This is the documented
      one-time remap of the machine's random stream (docs/internals.md,
      "Performance"). *)
-  let lstate = ref (Int64.to_int (Rng.bits64 rng) land max_int) in
-  let lbuf = ref 0 in
-  let lcnt = ref 0 in
-  let lane () =
-    if !lcnt = 0 then begin
-      lstate := (!lstate + Lane.gamma) land max_int;
-      let z = Lane.mix !lstate in
-      lbuf := z lsr 16;
-      lcnt := 2;
-      z land 0xFFFF
-    end
-    else begin
-      let b = !lbuf in
-      lbuf := b lsr 16;
-      lcnt := !lcnt - 1;
-      b land 0xFFFF
-    end
-  in
+  let ls = lanes_of_rng rng in
+  let lane () = lane_next ls in
   (* Per-round Bernoulli decisions as lane thresholds; rare events
      (jitter, collapsed livelock progress) as geometric skip counters so
      their per-round cost is one decrement. *)
   let progress_threshold = Lane.threshold config.Config.progress_chance in
   let drain_threshold = Lane.threshold config.Config.drain_chance in
   let jitter_on = config.Config.jitter_chance > 0.0 in
-  let jitter_table =
-    if jitter_on then Lane.geometric_table (min 1.0 config.Config.jitter_chance)
-    else [||]
-  in
-  let stall_table =
-    if jitter_on then
-      Lane.geometric_table (1.0 /. float_of_int (max 1 config.Config.jitter_mean))
-    else [||]
-  in
+  let jitter_table, stall_table = jitter_tables config in
   let livelock_p = config.Config.progress_chance *. Fault.livelock_factor in
   let livelock_table =
     if
@@ -228,11 +342,7 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
   (* Model dispatch, resolved once. *)
   let model = config.Config.model in
   let model_sc = model = Config.Sc in
-  let fence_waits =
-    match model with
-    | Config.Tso | Config.Pso | Config.Tso_store_reorder -> true
-    | Config.Sc | Config.Tso_fence_ignored -> false
-  in
+  let fence_waits = fence_waits model in
   let buffer_capacity = config.Config.buffer_capacity in
   (* O(1) liveness bookkeeping instead of per-round [Array.for_all]. *)
   let live = ref nthreads in
@@ -282,16 +392,9 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
     done;
     !found
   in
-  (* Remove the oldest-first position [i] from the ring, preserving the
-     order of the rest: shift the older side up one slot. *)
   let sb_remove_at st i =
-    for k = i downto 1 do
-      let dst = (st.sb_start + k) land st.sb_mask in
-      let src = (st.sb_start + k - 1) land st.sb_mask in
-      Array.unsafe_set st.sb_loc dst (Array.unsafe_get st.sb_loc src);
-      Array.unsafe_set st.sb_cell dst (Array.unsafe_get st.sb_cell src);
-      Array.unsafe_set st.sb_val dst (Array.unsafe_get st.sb_val src)
-    done;
+    ring_remove_at ~sb_loc:st.sb_loc ~sb_cell:st.sb_cell ~sb_val:st.sb_val
+      ~base:0 ~start:st.sb_start ~mask:st.sb_mask i;
     st.sb_start <- (st.sb_start + 1) land st.sb_mask;
     st.sb_len <- st.sb_len - 1;
     if st.sb_len = 0 then decr buffered
@@ -307,45 +410,8 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
     if st.sb_len > 0 then begin
       (* Select the entry to drain, removing it from the ring. *)
       let pos =
-        match model with
-        | Config.Tso_store_reorder ->
-          (* Buggy hardware: any buffered entry may drain first; the
-             pick is uniform over oldest-first positions. *)
-          if st.sb_len = 1 then 0 else (lane () * st.sb_len) lsr Lane.lane_bits
-        | Config.Pso ->
-          (* Oldest entry of a uniformly chosen buffered location: FIFO
-             per location, reorderable across locations. *)
-          if st.sb_len = 1 then 0
-          else begin
-            let count = ref 0 in
-            for l = 0 to nlocs - 1 do
-              let present = ref false in
-              for k = 0 to st.sb_len - 1 do
-                if
-                  Array.unsafe_get st.sb_loc ((st.sb_start + k) land st.sb_mask)
-                  = l
-                then present := true
-              done;
-              if !present then begin
-                pso_locs.(!count) <- l;
-                incr count
-              end
-            done;
-            let loc =
-              if !count = 1 then pso_locs.(0)
-              else pso_locs.((lane () * !count) lsr Lane.lane_bits)
-            in
-            (* Oldest entry of [loc]: first match oldest-first. *)
-            let k = ref 0 in
-            while
-              Array.unsafe_get st.sb_loc ((st.sb_start + !k) land st.sb_mask)
-              <> loc
-            do
-              incr k
-            done;
-            !k
-          end
-        | Config.Sc | Config.Tso | Config.Tso_fence_ignored -> 0
+        drain_pick model ~lane ~nlocs ~pso_locs ~sb_loc:st.sb_loc ~base:0
+          ~start:st.sb_start ~mask:st.sb_mask ~len:st.sb_len
       in
       let idx = (st.sb_start + pos) land st.sb_mask in
       let loc = Array.unsafe_get st.sb_loc idx in
@@ -588,8 +654,7 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
       (* The round mix: threads at scan positions 0-2 read their progress
          lane from [z] positionally; later positions (>= 4 threads) fall
          back to the sequential lane stream. *)
-      lstate := (!lstate + Lane.gamma) land max_int;
-      let z = Lane.mix !lstate in
+      let z = round_mix ls in
       let offset = !rot in
       rot := (if offset + 1 >= nthreads then 0 else offset + 1);
       for i = 0 to nthreads - 1 do
@@ -694,31 +759,7 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
   let termination =
     match !aborted with 0 -> Completed | 1 -> Watchdog_abort | _ -> Hung
   in
-  (match mx with
-  | Some m ->
-    Metrics.add m "machine.runs" 1;
-    Metrics.add m "machine.rounds" !clock;
-    Metrics.add m "machine.instructions" !instructions;
-    Metrics.add m "machine.drains" !drains;
-    Metrics.add m "machine.barriers" !barriers;
-    Metrics.add m "machine.stalls" !stalls;
-    Metrics.add m "machine.lost_stores" !lost_stores;
-    Metrics.add m ("machine.termination." ^ termination_name termination) 1;
-    Array.iteri
-      (fun occ count ->
-        if count > 0 then
-          Metrics.observe_many m "machine.buffer_occupancy" occ count)
-      occ_hist
-  | None -> ());
-  Trace_event.complete ~name:"machine.run" ~since:trace_start
-    ~args:
-      [
-        ("rounds", Trace_event.Int !clock);
-        ("instructions", Trace_event.Int !instructions);
-        ("iterations", Trace_event.Int iterations);
-        ("termination", Trace_event.String (termination_name termination));
-      ]
-    ();
+  publish ~mx ~trace_start ~iterations ~occ_hist
   {
     rounds = !clock;
     instructions = !instructions;
@@ -734,3 +775,316 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
       | Some _, (Some _ as snapshot) -> snapshot
       | Some pm, None -> Some (Pmem.durable_snapshot pm));
   }
+
+(* The hook-free perpetual kernel: [run]'s schedule for the case with no
+   hooks, no watchdog, no faults, no barrier and no persistence domain,
+   as one loop over flat per-thread int arrays.  Everything [run] keeps
+   in a [tstate] record lives here in parallel arrays indexed by thread;
+   the store buffers are one ring per thread inside shared flat arrays
+   (thread [t]'s ring at [t * ring]); the code is every thread's
+   [Program.encode_thread] concatenated, and [pc] is an offset into it.
+   Loaded values go straight to their [bufs] slot, which is where
+   Perpetual's per-iteration register copy would put them: registers are
+   numbered by load slot and every load retires once per iteration.
+
+   Every lane is drawn exactly where [run] draws it — progress lanes
+   positional for scan positions 0-2 and sequential beyond, jitter then
+   stall lengths, one drain coin per non-empty buffer in thread order —
+   so a seed gives [run]'s schedule, stats and metrics.  Under FIFO
+   drains the coin's outcome [d] (0 or 1) is applied arithmetically to
+   the memory cell, the ring, [buffered], [drains] and [last_progress]
+   instead of through a branch: at the default drain chance (0.55) that
+   branch goes either way about half the time, which no predictor can
+   learn. *)
+let run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs =
+  if iterations <= 0 then invalid_arg "Machine.run: iterations must be > 0";
+  let nthreads = Array.length image.Program.programs in
+  if config.Config.faults <> [] || Program.uses_persistency image then
+    invalid_arg
+      "Machine.run_perpetual: faults and persistency need Machine.run";
+  if
+    Array.length t_reads <> Array.length bufs
+    || Array.length t_reads > nthreads
+    || Array.exists2
+         (fun r buf -> r < 0 || Array.length buf < r * iterations)
+         t_reads bufs
+  then invalid_arg "Machine.run_perpetual: t_reads/bufs mismatch";
+  let mx = Metrics.active () in
+  let trace_start = Trace_event.now () in
+  let nlocs = Array.length image.Program.location_names in
+  let cells = if image_uses_indexed image then iterations else 1 in
+  let memory = initial_memory image ~cells in
+  let ring = next_pow2 (max 1 config.Config.buffer_capacity) 1 in
+  let mask = ring - 1 in
+  let codes = Array.map Program.encode_thread image.Program.programs in
+  let code = Array.concat (Array.to_list codes) in
+  let code_start = Array.make nthreads 0 in
+  let code_end = Array.make nthreads 0 in
+  Array.iteri
+    (fun t c ->
+      if t > 0 then code_start.(t) <- code_end.(t - 1);
+      code_end.(t) <- code_start.(t) + Array.length c)
+    codes;
+  (* Load destinations: thread [t]'s slot [r] of iteration [n] is
+     [tbuf.(t).(treads.(t) * n + r)]; stress threads record nothing. *)
+  let recording t = t < Array.length t_reads in
+  let treads =
+    Array.init nthreads (fun t -> if recording t then t_reads.(t) else 0)
+  in
+  let tbuf =
+    Array.init nthreads (fun t -> if recording t then bufs.(t) else [||])
+  in
+  let pc = Array.copy code_start in
+  let iteration = Array.make nthreads 0 in
+  let ready_at = Array.make nthreads 0 in
+  let jitter_skip = Array.make nthreads max_int in
+  let sb_loc = Array.make (nthreads * ring) 0 in
+  let sb_cell = Array.make (nthreads * ring) 0 in
+  let sb_val = Array.make (nthreads * ring) 0 in
+  let sb_start = Array.make nthreads 0 in
+  let sb_len = Array.make nthreads 0 in
+  let ls = lanes_of_rng rng in
+  let lane () = lane_next ls in
+  let progress_threshold = Lane.threshold config.Config.progress_chance in
+  let drain_threshold = Lane.threshold config.Config.drain_chance in
+  (* The drain coin is drawn only for 0 < drain_chance < 1; otherwise
+     its outcome is the constant [drain_always]. *)
+  let drain_coin = drain_threshold > 0 && drain_threshold < Lane.lane_bound in
+  let drain_always = if drain_threshold >= Lane.lane_bound then 1 else 0 in
+  let jitter_on = config.Config.jitter_chance > 0.0 in
+  let jitter_table, stall_table = jitter_tables config in
+  if jitter_on then
+    for t = 0 to nthreads - 1 do
+      jitter_skip.(t) <-
+        Array.unsafe_get jitter_table (lane_next ls lsr Lane.shift_for_table)
+    done;
+  let model = config.Config.model in
+  let model_sc = model = Config.Sc in
+  let fifo =
+    match model with
+    | Config.Sc | Config.Tso | Config.Tso_fence_ignored -> true
+    | Config.Pso | Config.Tso_store_reorder -> false
+  in
+  let fence_waits = fence_waits model in
+  let buffer_capacity = config.Config.buffer_capacity in
+  let pso_locs = Array.make (max 1 nlocs) 0 in
+  let occ_hist = match mx with Some _ -> Array.make (ring + 1) 0 | None -> [||] in
+  let live = ref nthreads in
+  let buffered = ref 0 in
+  let clock = ref 0 in
+  let last_progress = ref 0 in
+  let instructions = ref 0 in
+  let drains = ref 0 in
+  let stalls = ref 0 in
+  let rot = ref 0 in
+  (* A drain taken through [drain_pick]: the non-FIFO models, and the
+     termination flush under every model.  Returns whether the buffer
+     emptied; the caller keeps [buffered], [drains] and [last_progress],
+     which stay unboxed locals only as long as no closure captures
+     them. *)
+  let drain_picked t =
+    let base = t * ring in
+    let start = Array.unsafe_get sb_start t in
+    let len = Array.unsafe_get sb_len t in
+    let pos =
+      drain_pick model ~lane ~nlocs ~pso_locs ~sb_loc ~base ~start ~mask ~len
+    in
+    let idx = base + ((start + pos) land mask) in
+    let loc = Array.unsafe_get sb_loc idx in
+    let cell = Array.unsafe_get sb_cell idx in
+    let value = Array.unsafe_get sb_val idx in
+    ring_remove_at ~sb_loc ~sb_cell ~sb_val ~base ~start ~mask pos;
+    Array.unsafe_set sb_start t ((start + 1) land mask);
+    Array.unsafe_set sb_len t (len - 1);
+    Array.unsafe_set memory ((loc * cells) + cell) value;
+    len = 1
+  in
+  while !live > 0 do
+    incr clock;
+    if !clock - !last_progress > 2_000_000 then
+      failwith
+        "Machine.run: livelock (no instruction or drain for 2M rounds; is \
+         drain_chance 0 with a full store buffer?)";
+    let z = round_mix ls in
+    let offset = !rot in
+    rot := (if offset + 1 >= nthreads then 0 else offset + 1);
+    for i = 0 to nthreads - 1 do
+      let t =
+        let t = i + offset in
+        if t >= nthreads then t - nthreads else t
+      in
+      if Array.unsafe_get ready_at t <= !clock then begin
+        let plane =
+          if i < 3 then (z lsr (i lsl 4)) land 0xFFFF else lane_next ls
+        in
+        if jitter_on && Array.unsafe_get jitter_skip t = 0 then begin
+          (* OS jitter: preempt this thread for 1 + Geometric rounds. *)
+          Array.unsafe_set jitter_skip t
+            (Array.unsafe_get jitter_table
+               (lane_next ls lsr Lane.shift_for_table));
+          Array.unsafe_set ready_at t
+            (!clock + 1
+            + Array.unsafe_get stall_table
+                (lane_next ls lsr Lane.shift_for_table));
+          incr stalls
+        end
+        else begin
+          if jitter_on then
+            Array.unsafe_set jitter_skip t (Array.unsafe_get jitter_skip t - 1);
+          if plane < progress_threshold then begin
+            let p = Array.unsafe_get pc t in
+            let n = Array.unsafe_get iteration t in
+            if p < Array.unsafe_get code_end t then begin
+              last_progress := !clock;
+              let tag = Array.unsafe_get code p in
+              let loc = Array.unsafe_get code (p + 1) in
+              if tag <= 1 then begin
+                (* Store: value = k * iteration + a. *)
+                let stored =
+                  (Array.unsafe_get code (p + 2) * n)
+                  + Array.unsafe_get code (p + 3)
+                in
+                let cell = if tag = 1 then n else 0 in
+                if model_sc then begin
+                  Array.unsafe_set memory ((loc * cells) + cell) stored;
+                  Array.unsafe_set pc t (p + 4);
+                  incr instructions
+                end
+                else begin
+                  let len = Array.unsafe_get sb_len t in
+                  if len < buffer_capacity then begin
+                    let idx =
+                      (t * ring)
+                      + ((Array.unsafe_get sb_start t + len) land mask)
+                    in
+                    Array.unsafe_set sb_loc idx loc;
+                    Array.unsafe_set sb_cell idx cell;
+                    Array.unsafe_set sb_val idx stored;
+                    if len = 0 then incr buffered;
+                    Array.unsafe_set sb_len t (len + 1);
+                    if Array.length occ_hist > 0 then
+                      occ_hist.(len + 1) <- occ_hist.(len + 1) + 1;
+                    Array.unsafe_set pc t (p + 4);
+                    incr instructions
+                  end
+                end
+              end
+              else if tag <= 3 then begin
+                (* Load: forwarded from the youngest matching buffered
+                   store (backwards ring scan), else from memory. *)
+                let cell = if tag = 3 then n else 0 in
+                let len = Array.unsafe_get sb_len t in
+                let fwd = ref (-1) in
+                if not model_sc then begin
+                  let base = t * ring in
+                  let start = Array.unsafe_get sb_start t in
+                  let k = ref (len - 1) in
+                  while !fwd < 0 && !k >= 0 do
+                    let idx = base + ((start + !k) land mask) in
+                    if
+                      Array.unsafe_get sb_loc idx = loc
+                      && Array.unsafe_get sb_cell idx = cell
+                    then fwd := idx
+                    else decr k
+                  done
+                end;
+                let value =
+                  if !fwd >= 0 then Array.unsafe_get sb_val !fwd
+                  else Array.unsafe_get memory ((loc * cells) + cell)
+                in
+                let reg = Array.unsafe_get code (p + 2) in
+                let r = Array.unsafe_get treads t in
+                if reg < r then
+                  Array.unsafe_set (Array.unsafe_get tbuf t)
+                    ((r * n) + reg) value;
+                Array.unsafe_set pc t (p + 4);
+                incr instructions
+              end
+              else if (not fence_waits) || Array.unsafe_get sb_len t = 0
+              then begin
+                (* Fence: waits for an empty buffer, except under SC and
+                   the fence-ignored bug. *)
+                Array.unsafe_set pc t (p + 4);
+                incr instructions
+              end
+            end;
+            if Array.unsafe_get pc t >= Array.unsafe_get code_end t then begin
+              (* Iteration end. *)
+              Array.unsafe_set iteration t (n + 1);
+              Array.unsafe_set pc t (Array.unsafe_get code_start t);
+              if n + 1 >= iterations then begin
+                Array.unsafe_set ready_at t max_int;
+                decr live
+              end
+            end
+          end
+        end
+      end
+    done;
+    (* Drain phase: one coin per non-empty buffer, in thread order. *)
+    if !buffered > 0 then
+      for t = 0 to nthreads - 1 do
+        let len = Array.unsafe_get sb_len t in
+        if len > 0 then begin
+          let d =
+            if drain_coin then (lane_next ls - drain_threshold) lsr 62
+            else drain_always
+          in
+          if fifo then begin
+            (* Branch-free: [d] is 0 or 1, [-d] a mask of 0 or all ones. *)
+            let m = -d in
+            let start = Array.unsafe_get sb_start t in
+            let idx = (t * ring) + start in
+            let a =
+              (Array.unsafe_get sb_loc idx * cells)
+              + Array.unsafe_get sb_cell idx
+            in
+            let old = Array.unsafe_get memory a in
+            Array.unsafe_set memory a
+              (old + ((Array.unsafe_get sb_val idx - old) land m));
+            Array.unsafe_set sb_start t ((start + d) land mask);
+            Array.unsafe_set sb_len t (len - d);
+            buffered := !buffered - (d land ((len - 2) lsr 62));
+            drains := !drains + d;
+            last_progress :=
+              !last_progress + ((!clock - !last_progress) land m)
+          end
+          else if d = 1 then begin
+            last_progress := !clock;
+            if drain_picked t then decr buffered;
+            incr drains
+          end
+        end
+      done;
+    (* Fast-forward through provably idle spans, exactly as [run]. *)
+    if !buffered = 0 then begin
+      let earliest = ref max_int in
+      for t = 0 to nthreads - 1 do
+        let r = Array.unsafe_get ready_at t in
+        if r < !earliest then earliest := r
+      done;
+      if !earliest > !clock + 1 && !earliest < max_int then
+        clock := !earliest - 1
+    end
+  done;
+  (* Termination flush: drain the leftovers, one round each. *)
+  for t = 0 to nthreads - 1 do
+    while Array.unsafe_get sb_len t > 0 do
+      incr clock;
+      last_progress := !clock;
+      ignore (drain_picked t);
+      incr drains
+    done
+  done;
+  publish ~mx ~trace_start ~iterations ~occ_hist
+    {
+      rounds = !clock;
+      instructions = !instructions;
+      drains = !drains;
+      barriers = 0;
+      stalls = !stalls;
+      termination = Completed;
+      iterations_retired = iteration;
+      lost_stores = 0;
+      persisted = None;
+    }

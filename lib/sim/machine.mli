@@ -114,3 +114,33 @@ val run :
 
     Memory for [Indexed] operands has one cell per iteration, as litmus7
     allocates; [Shared] operands use a single cell per location. *)
+
+val run_perpetual :
+  config:Config.t ->
+  rng:Perple_util.Rng.t ->
+  image:Program.image ->
+  iterations:int ->
+  t_reads:int array ->
+  bufs:int array array ->
+  stats
+(** The hook-free perpetual kernel: exactly
+    [run ~config ~rng ~image ~iterations ~barrier:No_barrier ()] with
+    every thread [t < Array.length t_reads] copying its registers
+    [0 .. t_reads.(t) - 1] into [bufs.(t).(t_reads.(t) * n + i)] at the
+    end of iteration [n] — the same stats, the same [bufs], the same
+    [machine.*] metrics and [machine.run] trace span — computed by one
+    inlined round loop over flat per-thread arrays instead of [run]'s
+    closures.  {!Perple_harness.Perpetual.run} selects it whenever it is
+    given no hook and no watchdog; every other run, and the test oracle
+    for this one, is [run].
+
+    Preconditions: [config.faults = []], no [Flush]/[Drain] in [image],
+    and registers numbered by load slot (thread [t]'s [i]-th load
+    targets register [i], as the Converter guarantees) — loaded values
+    are written to their [bufs] slot at the load.
+    @raise Invalid_argument when [iterations <= 0] (with [run]'s
+    message), when [config.faults] is non-empty or [image] uses the
+    persistence domain, or when [bufs] and [t_reads] disagree in length
+    or a buffer is shorter than [t_reads.(t) * iterations].
+    @raise Failure with [run]'s livelock message when no instruction or
+    drain happens for 2M rounds. *)

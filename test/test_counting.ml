@@ -488,6 +488,32 @@ let test_engine_deterministic () =
   in
   check (Alcotest.array Alcotest.int) "same counts" (run ()) (run ())
 
+(* The heuristic counter evaluates without allocating per iteration: its
+   minor-heap traffic over a 20k-iteration run is a per-call constant
+   (compiling the plan, the result record), not a per-iteration cost. *)
+let test_heuristic_allocation_free () =
+  List.iter
+    (fun name ->
+      let conv = conv_of name in
+      let target =
+        converted conv
+          (Result.get_ok (Outcome.of_condition conv.Convert.test))
+      in
+      let run =
+        Perpetual.run ~rng:(Rng.create 9) ~image:conv.Convert.image
+          ~t_reads:conv.Convert.t_reads ~iterations:20_000 ()
+      in
+      let count () = Count.heuristic_auto conv ~outcomes:[ target ] ~run in
+      ignore (count ());
+      let before = Gc.minor_words () in
+      let result = count () in
+      let words = Gc.minor_words () -. before in
+      check Alcotest.int (name ^ " frames") 20_000 result.Count.frames_examined;
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.0f minor words for 20k iterations" name words)
+        true (words < 2_000.))
+    [ "sb"; "iriw"; "podwr001" ]
+
 let suite =
   [
     ( "core.outcome_convert",
@@ -525,6 +551,8 @@ let suite =
           test_heuristic_independent_units;
         Alcotest.test_case "mutual-exclusivity dispatch" `Quick
           test_mutual_exclusivity_dispatch;
+        Alcotest.test_case "heuristic allocation-free" `Quick
+          test_heuristic_allocation_free;
         QCheck_alcotest.to_alcotest factorized_agrees_random;
         QCheck_alcotest.to_alcotest factorized_agrees_cycles;
       ] );

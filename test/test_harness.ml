@@ -11,6 +11,9 @@ module Litmus7 = Perple_harness.Litmus7
 module Perpetual = Perple_harness.Perpetual
 module Convert = Perple_core.Convert
 module Rng = Perple_util.Rng
+module Stress = Perple_harness.Stress
+module Metrics = Perple_util.Metrics
+module Json = Perple_util.Json
 
 let check = Alcotest.check
 
@@ -329,6 +332,143 @@ let test_t_reads_mismatch () =
         (Perpetual.run ~rng:(Rng.create 1) ~image:sb_conv.Convert.image
            ~t_reads:[| 1 |] ~iterations:10 ()))
 
+(* --- The hook-free perpetual kernel against its oracle --------------------- *)
+
+(* [Machine.run_perpetual] must be [Machine.run] plus Perpetual's
+   per-iteration register copy, run by run: the same stats (every field),
+   the same bufs and the same metrics dump.  The oracle side forces the
+   general path with a no-op [on_iteration_end] hook.  Persistency tests
+   are left out: the kernel does not take them. *)
+
+let kernel_images =
+  lazy
+    (Array.of_list
+       (List.filter_map
+          (fun name ->
+            match Convert.convert (Catalog.find_exn name) with
+            | Ok conv
+              when not (Perple_sim.Program.uses_persistency conv.Convert.image)
+              ->
+              Some conv
+            | Ok _ | Error _ -> None)
+          Catalog.all_names))
+
+type kernel_case = {
+  conv : Convert.t;
+  stress : int;
+  iterations : int;
+  config : Config.t;
+  seed : int;
+}
+
+let print_kernel_case c =
+  Printf.sprintf
+    "%s stress=%d n=%d model=%s jitter=%b drain=%g progress=%g capacity=%d \
+     seed=%d"
+    c.conv.Convert.test.Ast.name c.stress c.iterations
+    (Config.model_name c.config.Config.model)
+    (c.config.Config.jitter_chance > 0.0)
+    c.config.Config.drain_chance c.config.Config.progress_chance
+    c.config.Config.buffer_capacity c.seed
+
+let kernel_case_gen =
+  let open QCheck.Gen in
+  let images = Lazy.force kernel_images in
+  let* conv = oneofa images in
+  let* stress = int_bound 3 in
+  let* iterations = int_range 1 3000 in
+  let* model =
+    oneofl
+      [ Config.Sc; Config.Tso; Config.Pso; Config.Tso_store_reorder;
+        Config.Tso_fence_ignored ]
+  in
+  let* jitter = bool in
+  let* drain_chance = oneofl [ 0.05; 0.55; 1.0 ] in
+  let* progress_chance = oneofl [ 0.3; 0.9; 1.0 ] in
+  let* buffer_capacity = oneofl [ 1; 2; 8 ] in
+  let+ seed = int_bound 1_000_000 in
+  let config =
+    { Config.default with
+      Config.model; drain_chance; progress_chance; buffer_capacity }
+  in
+  let config = if jitter then config else Config.no_jitter config in
+  { conv; stress; iterations; config; seed }
+
+let with_metrics f =
+  let sink = Metrics.create_sink () in
+  let r = Metrics.scoped sink f in
+  (r, Json.to_string (Metrics.to_json sink))
+
+let oracle_run c =
+  with_metrics (fun () ->
+      let run =
+        Perpetual.run ~config:c.config ~stress_threads:c.stress
+          ~rng:(Rng.create c.seed) ~image:c.conv.Convert.image
+          ~t_reads:c.conv.Convert.t_reads ~iterations:c.iterations
+          ~on_iteration_end:(fun ~thread:_ ~iteration:_ ~regs:_ -> ())
+          ()
+      in
+      (run.Perpetual.machine, run.Perpetual.bufs))
+
+let kernel_run c =
+  with_metrics (fun () ->
+      let t_reads = c.conv.Convert.t_reads in
+      let bufs = Array.map (fun r -> Array.make (r * c.iterations) 0) t_reads in
+      let stats =
+        Machine.run_perpetual ~config:c.config ~rng:(Rng.create c.seed)
+          ~image:(Stress.extend_image c.conv.Convert.image ~threads:c.stress)
+          ~iterations:c.iterations ~t_reads ~bufs
+      in
+      (stats, bufs))
+
+let kernel_oracle_property =
+  QCheck.Test.make ~name:"perpetual kernel = Machine.run + register copy"
+    ~count:300
+    (QCheck.make ~print:print_kernel_case kernel_case_gen)
+    (fun c ->
+      let (o_stats, o_bufs), o_metrics = oracle_run c in
+      let (k_stats, k_bufs), k_metrics = kernel_run c in
+      if o_stats <> k_stats then QCheck.Test.fail_report "stats differ"
+      else if o_bufs <> k_bufs then QCheck.Test.fail_report "bufs differ"
+      else if o_metrics <> k_metrics then
+        QCheck.Test.fail_reportf "metrics differ:\n%s\n%s" o_metrics k_metrics
+      else true)
+
+let sb_kernel_case config ~iterations =
+  {
+    conv = Result.get_ok (Convert.convert Catalog.sb);
+    stress = 0;
+    iterations;
+    config;
+    seed = 1;
+  }
+
+let test_kernel_invalid_iterations () =
+  let c = sb_kernel_case Config.default ~iterations:0 in
+  let expected = Invalid_argument "Machine.run: iterations must be > 0" in
+  Alcotest.check_raises "Machine.run" expected (fun () ->
+      ignore (oracle_run c));
+  Alcotest.check_raises "kernel" expected (fun () -> ignore (kernel_run c))
+
+(* With no progress and no drains nothing ever happens: both paths give
+   up after 2M idle rounds with the same livelock failure. *)
+let test_kernel_livelock () =
+  let c =
+    sb_kernel_case
+      { Config.default with Config.progress_chance = 0.0; drain_chance = 0.0 }
+      ~iterations:10
+  in
+  let failure f =
+    match f () with _ -> None | exception Failure msg -> Some msg
+  in
+  let oracle = failure (fun () -> oracle_run c) in
+  check Alcotest.bool "Machine.run reports a livelock" true
+    (match oracle with
+    | Some msg -> String.starts_with ~prefix:"Machine.run: livelock" msg
+    | None -> false);
+  check Alcotest.(option string) "same failure" oracle
+    (failure (fun () -> kernel_run c))
+
 let suite =
   [
     ( "harness.sync_mode",
@@ -367,5 +507,9 @@ let suite =
         Alcotest.test_case "trace render" `Quick test_trace_render;
         Alcotest.test_case "trace observation only" `Quick
           test_trace_observation_only;
+        QCheck_alcotest.to_alcotest kernel_oracle_property;
+        Alcotest.test_case "kernel invalid iterations" `Quick
+          test_kernel_invalid_iterations;
+        Alcotest.test_case "kernel livelock" `Quick test_kernel_livelock;
       ] );
   ]
