@@ -52,6 +52,7 @@ module Metrics = Perple_util.Metrics
 
 let sb_conv = lazy (Result.get_ok (Convert.convert Catalog.sb))
 let iriw_conv = lazy (Result.get_ok (Convert.convert (Catalog.find_exn "iriw")))
+let podwr001_conv = lazy (Result.get_ok (Convert.convert Catalog.podwr001))
 
 let prepared_run iterations =
   lazy
@@ -144,6 +145,7 @@ let frames_per_run =
     ("fig11:engine-end-to-end-1k", 1_000);
     ("machine:perpetual-sb-100k", 100_000);
     ("machine:perpetual-iriw-50k", 50_000);
+    ("machine:perpetual-podwr001-50k", 50_000);
     ("fig12:skew-measure-4k", 4_000);
     ("fig13:variety-count-1k", 1_000);
     ("overall:litmus7-user-500", 500);
@@ -216,7 +218,7 @@ let micro_tests =
     Test.make ~name:"fig11:engine-end-to-end-1k"
       (Staged.stage (fun () ->
            Engine.run ~seed:3 ~iterations:1_000 Catalog.sb));
-    (* The machine alone: one hook-free perpetual run, no counting. *)
+    (* The machine alone: one compiled-kernel perpetual run, no counting. *)
     Test.make ~name:"machine:perpetual-sb-100k"
       (Staged.stage (fun () ->
            let conv = Lazy.force sb_conv in
@@ -225,6 +227,11 @@ let micro_tests =
     Test.make ~name:"machine:perpetual-iriw-50k"
       (Staged.stage (fun () ->
            let conv = Lazy.force iriw_conv in
+           Perpetual.run ~rng:(Rng.create 5) ~image:conv.Convert.image
+             ~t_reads:conv.Convert.t_reads ~iterations:50_000 ()));
+    Test.make ~name:"machine:perpetual-podwr001-50k"
+      (Staged.stage (fun () ->
+           let conv = Lazy.force podwr001_conv in
            Perpetual.run ~rng:(Rng.create 5) ~image:conv.Convert.image
              ~t_reads:conv.Convert.t_reads ~iterations:50_000 ()));
     (* Fig 12: skew measurement by value decoding. *)

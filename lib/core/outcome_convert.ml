@@ -590,9 +590,12 @@ let compile_heuristic (conv : Convert.t) t plan =
     cp_bounds = Array.of_list (List.concat (List.rev !bounds));
   }
 
-(* [member_iteration] with the store fields unpacked. *)
+(* [member_iteration] with the store fields unpacked.  [k = 1] (every
+   location written by a single store, the common case) needs no
+   division: the only residue is 1 and the iteration is [value - 1]. *)
 let member_iteration_kc k canonical value =
   if value <= 0 then -1
+  else if k = 1 then if canonical = 1 then value - 1 else -1
   else begin
     let c = ((value - 1) mod k) + 1 in
     if c <> canonical then -1 else (value - c) / k

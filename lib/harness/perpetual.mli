@@ -56,7 +56,7 @@ val run :
     Which machine path runs is decided here, from these inputs only.
     With no [on_sample], [on_event], [on_iteration_end] or [watchdog],
     [config.faults = []] and no [Flush]/[Drain] in the stress-extended
-    image, the run goes through the hook-free kernel
+    image, the run goes through the compiled kernel
     {!Perple_sim.Machine.run_perpetual}, which writes loaded values
     straight into [bufs]; otherwise through {!Perple_sim.Machine.run}
     with a per-iteration register copy.  Both give the same [run] — and

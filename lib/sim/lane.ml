@@ -7,24 +7,14 @@
    "lanes" of a native-int splitmix stream instead (three lanes per
    mix), and turns per-round Bernoulli draws into either threshold
    comparisons or geometric skip counters fed by the inverse-CDF tables
-   below.  This module holds the shared pure pieces; the machine inlines
-   the stream state itself.
+   below.  This module holds the set-up pieces (thresholds and tables);
+   the stream itself (state, mixer, lane extraction) lives in {!Machine},
+   where the round loop can inline it.
 
    Determinism: everything here is a pure function of its inputs; the
    machine seeds its stream from one [Rng.bits64] draw of the run RNG,
    so runs remain a function of the run seed alone.  Requires 64-bit
    [int] (the default everywhere dune builds this project). *)
-
-(* splitmix64's constants truncated to OCaml's 63-bit int.  The mixer
-   loses the top bit of each multiply; for scheduling noise (not
-   cryptography, not statistics papers) the avalanche quality is still
-   far beyond what the simulator can observe. *)
-let gamma = 0x1E3779B97F4A7C15
-
-let mix z =
-  let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
-  let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
-  (z lxor (z lsr 31)) land max_int
 
 let lane_bits = 16
 let lane_bound = 65536

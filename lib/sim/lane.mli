@@ -4,25 +4,17 @@
     offsets, progress/drain/jitter coins, stall lengths, buggy-model
     drain picks) from a native-int splitmix stream consumed as 16-bit
     {e lanes}, rather than from boxed {!Perple_util.Rng} draws.  This
-    module holds the pure shared pieces — the mixer, probability
-    thresholds, and cached geometric inverse-CDF tables; the machine
-    keeps the stream state in one mutable record per run.
+    module holds the pieces used at run set-up — probability thresholds
+    and cached geometric inverse-CDF tables.  The stream itself (its
+    state, the splitmix mixer and lane extraction) lives in {!Machine}:
+    the dev profile compiles with [-opaque], so only code in the same
+    module as the round loop inlines into it.
 
     The switch from [Rng] is the documented one-time remap of the
     machine's random stream (see docs/internals.md, "Performance"):
     runs are still a pure function of the run seed — the lane stream is
     seeded from one [Rng.bits64] draw — but seeded runs produce
     different (equally valid) schedules than pre-remap builds. *)
-
-val gamma : int
-(** Additive stream constant (splitmix64's golden gamma, truncated to
-    63 bits).  Advance the stream with
-    [state <- (state + gamma) land max_int]. *)
-
-val mix : int -> int
-(** Finalizing mixer: maps the raw stream state to a well-scrambled
-    non-negative 63-bit value.  Each mixed value yields three 16-bit
-    lanes (bits 0–47). *)
 
 val lane_bits : int
 (** Bits per lane (16). *)

@@ -89,7 +89,25 @@ let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 (* The lane stream: one native-int splitmix state plus the unread 16-bit
    lanes of its latest mix.  The round loop advances [lstate] itself for
    its positional progress mix ([round_mix]); every other draw takes the
-   next sequential lane ([lane_next]). *)
+   next sequential lane ([lane_next]).
+
+   The stream pieces live here rather than in {!Lane}: the dev profile
+   compiles with [-opaque], so nothing inlines across modules, and a
+   [Lane.mix] call (plus a load of [Lane.gamma] through the module
+   block) on every draw measured 5-11% of the machine's time.
+
+   [gamma] and [mix] are splitmix64's constants truncated to OCaml's
+   63-bit int.  The mixer loses the top bit of each multiply; for
+   scheduling noise the avalanche quality is still far beyond what the
+   simulator can observe.  Each mixed value yields three 16-bit lanes
+   (bits 0-47). *)
+let gamma = 0x1E3779B97F4A7C15
+
+let[@inline] mix z =
+  let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
+  let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
+  (z lxor (z lsr 31)) land max_int
+
 type lanes = { mutable lstate : int; mutable lbuf : int; mutable lcnt : int }
 
 let lanes_of_rng rng =
@@ -97,8 +115,8 @@ let lanes_of_rng rng =
 
 let[@inline] lane_next ls =
   if ls.lcnt = 0 then begin
-    ls.lstate <- (ls.lstate + Lane.gamma) land max_int;
-    let z = Lane.mix ls.lstate in
+    ls.lstate <- (ls.lstate + gamma) land max_int;
+    let z = mix ls.lstate in
     ls.lbuf <- z lsr 16;
     ls.lcnt <- 2;
     z land 0xFFFF
@@ -111,8 +129,8 @@ let[@inline] lane_next ls =
   end
 
 let[@inline] round_mix ls =
-  ls.lstate <- (ls.lstate + Lane.gamma) land max_int;
-  Lane.mix ls.lstate
+  ls.lstate <- (ls.lstate + gamma) land max_int;
+  mix ls.lstate
 
 (* Store buffers are flat rings: a buffer of [len] entries keeps its
    [k]-th oldest entry at [base + ((start + k) land mask)] of three
@@ -467,8 +485,15 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
            })
     | None -> ()
   in
+  (* Progress for the livelock detector is a retired instruction (or a
+     drain), never a stalled attempt: a store facing a full buffer or a
+     fence waiting for an empty one leaves [last_progress] alone. *)
+  let retire st pc =
+    st.pc <- pc + 4;
+    incr instructions;
+    last_progress := !clock
+  in
   let execute t st =
-    last_progress := !clock;
     let code = st.code in
     let pc = st.pc in
     let tag = Array.unsafe_get code pc in
@@ -483,8 +508,7 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
       let cell = if tag = 1 then st.iteration else 0 in
       if model_sc then begin
         Array.unsafe_set memory ((loc * cells) + cell) stored;
-        st.pc <- pc + 4;
-        incr instructions;
+        retire st pc;
         if has_events then emit_exec t st stored
       end
       else if st.sb_len >= buffer_capacity then
@@ -498,8 +522,7 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
         st.sb_len <- st.sb_len + 1;
         if Array.length occ_hist > 0 then
           occ_hist.(st.sb_len) <- occ_hist.(st.sb_len) + 1;
-        st.pc <- pc + 4;
-        incr instructions;
+        retire st pc;
         if has_events then emit_exec t st stored
       end
     | 2 | 3 ->
@@ -512,15 +535,13 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
         else Array.unsafe_get memory ((loc * cells) + cell)
       in
       st.regs.(Array.unsafe_get code (pc + 2)) <- value;
-      st.pc <- pc + 4;
-      incr instructions;
+      retire st pc;
       if has_events then emit_exec t st value
     | 4 ->
       (* Fence: waits for an empty buffer, except under SC (no buffer)
          and the fence-ignored bug. *)
       if (not fence_waits) || st.sb_len = 0 then begin
-        st.pc <- pc + 4;
-        incr instructions;
+        retire st pc;
         if has_events then emit_exec t st 0
       end
     | 5 | 6 ->
@@ -535,8 +556,7 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
         (match pmem with
         | Some pm -> Pmem.flush pm ~thread:t ~loc ~cell ~value
         | None -> ());
-        st.pc <- pc + 4;
-        incr instructions;
+        retire st pc;
         if has_events then emit_exec t st value
       end
     | _ ->
@@ -548,8 +568,7 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
         | Some pm ->
           Pmem.drain pm ~persistency:config.Config.persistency ~thread:t
         | None -> ());
-        st.pc <- pc + 4;
-        incr instructions;
+        retire st pc;
         if has_events then emit_exec t st 0
       end
   in
@@ -776,26 +795,128 @@ let run ?on_iteration_end ?on_sample ?on_event ?watchdog
       | Some pm, None -> Some (Pmem.durable_snapshot pm));
   }
 
-(* The hook-free perpetual kernel: [run]'s schedule for the case with no
-   hooks, no watchdog, no faults, no barrier and no persistence domain,
-   as one loop over flat per-thread int arrays.  Everything [run] keeps
-   in a [tstate] record lives here in parallel arrays indexed by thread;
-   the store buffers are one ring per thread inside shared flat arrays
-   (thread [t]'s ring at [t * ring]); the code is every thread's
-   [Program.encode_thread] concatenated, and [pc] is an offset into it.
-   Loaded values go straight to their [bufs] slot, which is where
-   Perpetual's per-iteration register copy would put them: registers are
-   numbered by load slot and every load retires once per iteration.
+(* The compiled perpetual kernel: [run]'s schedule for the case with no
+   hooks, no watchdog, no faults, no barrier and no persistence domain.
+   Each run first compiles every thread's body into one flat int array,
+   resolving from the model and the program what [run] decides per
+   retired instruction.  Op kinds:
+
+     0  store into the store buffer
+     1  store straight to memory (SC: no buffer)
+     2  load from memory only (SC, or the thread never stores to the
+        location, so no buffered entry can ever match)
+     3  load forwarded from the youngest matching buffered store, else
+        from memory
+     4  fence that retires at once (SC, fence-ignored bug)
+     5  fence that waits for an empty buffer
+     6  idle: the one op of an empty body, which retires nothing
+
+   Per-thread state is [th_words] ints per thread in one array; the
+   store buffers are one ring per thread inside shared flat arrays
+   (thread [t]'s ring at [t * ring]).  Loaded values go straight to
+   their [bufs] slot, which is where Perpetual's per-iteration register
+   copy would put them: registers are only written by loads, and every
+   load retires once per iteration, so the last load of a register in an
+   iteration is the value the copy would see.
 
    Every lane is drawn exactly where [run] draws it — progress lanes
    positional for scan positions 0-2 and sequential beyond, jitter then
    stall lengths, one drain coin per non-empty buffer in thread order —
-   so a seed gives [run]'s schedule, stats and metrics.  Under FIFO
-   drains the coin's outcome [d] (0 or 1) is applied arithmetically to
-   the memory cell, the ring, [buffered], [drains] and [last_progress]
-   instead of through a branch: at the default drain chance (0.55) that
-   branch goes either way about half the time, which no predictor can
-   learn. *)
+   so a seed gives [run]'s schedule, stats and metrics.  The drain
+   phase visits only the threads that store ([writers], ascending): any
+   other thread's buffer is always empty, so [run] draws no coin for it
+   either.  Under FIFO drains the coin's outcome [d] (0 or 1) is applied
+   arithmetically to the memory cell, the ring, [buffered], [drains]
+   and [last_progress] instead of through a branch: at the default
+   drain chance (0.55) that branch goes either way about half the time,
+   which no predictor can learn. *)
+
+(* One compiled op is [op_words] ints of [ops], at the op's offset [p]:
+   [p] kind, [p + 1] location, [p + 2] its first cell [loc * cells],
+   [p + 3] the indexed-addressing mask (0, or -1 so that the cell is
+   [addr + iteration]), [p + 4]/[p + 5] a store's [k]/[a] or a load's
+   destination slot (-1: not recorded) and stride.  Eight words keep
+   every op inside one cache line. *)
+let op_words = 8
+
+(* One thread's state is [th_words] ints of [th], at [t * th_words]:
+   ready round, rounds to the next jitter hit, pc (an op offset), current
+   iteration, ring start, ring length, first op offset and one past its
+   last (an empty body: [first = last], at its idle op).  One array
+   instead of one per field leaves the loop fewer pointers to keep live:
+   it measured 3-4% faster than nine parallel arrays. *)
+let th_words = 8
+let th_ready = 0
+let th_jitter = 1
+let th_pc = 2
+let th_iter = 3
+let th_start = 4
+let th_len = 5
+let th_first = 6
+let th_last = 7
+
+(* Compile [image] for one run: the [ops] array, each thread's state
+   words with [th_first]/[th_last] (and [th_pc]) set, and the threads
+   that store, ascending. *)
+let compile ~model ~cells ~t_reads (image : Program.image) =
+  let programs = image.Program.programs in
+  let nthreads = Array.length programs in
+  let nops =
+    Array.fold_left
+      (fun acc (p : Program.thread) -> acc + max 1 (Array.length p.body))
+      0 programs
+  in
+  let ops = Array.make (nops * op_words) 0 in
+  let th = Array.make (nthreads * th_words) 0 in
+  let sc = model = Config.Sc in
+  let next = ref 0 and writers = ref [] in
+  Array.iteri
+    (fun t (p : Program.thread) ->
+      let stride = if t < Array.length t_reads then t_reads.(t) else 0 in
+      let set o kind loc addr x y =
+        ops.(o) <- kind;
+        ops.(o + 1) <- loc;
+        ops.(o + 2) <- loc * cells;
+        ops.(o + 3) <-
+          (match addr with Program.Shared -> 0 | Program.Indexed -> -1);
+        ops.(o + 4) <- x;
+        ops.(o + 5) <- y
+      in
+      let stores l =
+        Array.exists
+          (function Program.Store { loc; _ } -> loc = l | _ -> false)
+          p.body
+      in
+      if Array.exists (function Program.Store _ -> true | _ -> false) p.body
+      then writers := t :: !writers;
+      Array.iteri
+        (fun j instr ->
+          let o = (!next + j) * op_words in
+          match instr with
+          | Program.Store { loc; addr; value = Program.Const a } ->
+            set o (if sc then 1 else 0) loc addr 0 a
+          | Program.Store { loc; addr; value = Program.Seq { k; a } } ->
+            set o (if sc then 1 else 0) loc addr k a
+          | Program.Load { loc; addr; reg } ->
+            set o
+              (if sc || not (stores loc) then 2 else 3)
+              loc addr
+              (if reg < stride then reg else -1)
+              stride
+          | Program.Fence ->
+            set o (if fence_waits model then 5 else 4) 0 Program.Shared 0 0
+          | Program.Flush _ | Program.Drain -> assert false (* rejected *))
+        p.body;
+      let len = Array.length p.body in
+      let b = t * th_words in
+      th.(b + th_first) <- !next * op_words;
+      th.(b + th_pc) <- !next * op_words;
+      th.(b + th_last) <- (!next + len) * op_words;
+      if len = 0 then ops.(!next * op_words) <- 6;
+      next := !next + max 1 len)
+    programs;
+  (ops, th, Array.of_list (List.rev !writers))
+
 let run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs =
   if iterations <= 0 then invalid_arg "Machine.run: iterations must be > 0";
   let nthreads = Array.length image.Program.programs in
@@ -816,33 +937,16 @@ let run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs =
   let memory = initial_memory image ~cells in
   let ring = next_pow2 (max 1 config.Config.buffer_capacity) 1 in
   let mask = ring - 1 in
-  let codes = Array.map Program.encode_thread image.Program.programs in
-  let code = Array.concat (Array.to_list codes) in
-  let code_start = Array.make nthreads 0 in
-  let code_end = Array.make nthreads 0 in
-  Array.iteri
-    (fun t c ->
-      if t > 0 then code_start.(t) <- code_end.(t - 1);
-      code_end.(t) <- code_start.(t) + Array.length c)
-    codes;
-  (* Load destinations: thread [t]'s slot [r] of iteration [n] is
-     [tbuf.(t).(treads.(t) * n + r)]; stress threads record nothing. *)
-  let recording t = t < Array.length t_reads in
-  let treads =
-    Array.init nthreads (fun t -> if recording t then t_reads.(t) else 0)
-  in
+  let model = config.Config.model in
+  let ops, th, writers = compile ~model ~cells ~t_reads image in
+  let nwriters = Array.length writers in
   let tbuf =
-    Array.init nthreads (fun t -> if recording t then bufs.(t) else [||])
+    Array.init nthreads (fun t ->
+        if t < Array.length t_reads then bufs.(t) else [||])
   in
-  let pc = Array.copy code_start in
-  let iteration = Array.make nthreads 0 in
-  let ready_at = Array.make nthreads 0 in
-  let jitter_skip = Array.make nthreads max_int in
   let sb_loc = Array.make (nthreads * ring) 0 in
   let sb_cell = Array.make (nthreads * ring) 0 in
   let sb_val = Array.make (nthreads * ring) 0 in
-  let sb_start = Array.make nthreads 0 in
-  let sb_len = Array.make nthreads 0 in
   let ls = lanes_of_rng rng in
   let lane () = lane_next ls in
   let progress_threshold = Lane.threshold config.Config.progress_chance in
@@ -853,22 +957,23 @@ let run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs =
   let drain_always = if drain_threshold >= Lane.lane_bound then 1 else 0 in
   let jitter_on = config.Config.jitter_chance > 0.0 in
   let jitter_table, stall_table = jitter_tables config in
-  if jitter_on then
-    for t = 0 to nthreads - 1 do
-      jitter_skip.(t) <-
-        Array.unsafe_get jitter_table (lane_next ls lsr Lane.shift_for_table)
-    done;
-  let model = config.Config.model in
-  let model_sc = model = Config.Sc in
+  let skip_shift = Lane.shift_for_table in
+  for t = 0 to nthreads - 1 do
+    th.((t * th_words) + th_jitter) <-
+      (if jitter_on then
+         Array.unsafe_get jitter_table (lane_next ls lsr skip_shift)
+       else max_int)
+  done;
   let fifo =
     match model with
     | Config.Sc | Config.Tso | Config.Tso_fence_ignored -> true
     | Config.Pso | Config.Tso_store_reorder -> false
   in
-  let fence_waits = fence_waits model in
   let buffer_capacity = config.Config.buffer_capacity in
   let pso_locs = Array.make (max 1 nlocs) 0 in
-  let occ_hist = match mx with Some _ -> Array.make (ring + 1) 0 | None -> [||] in
+  (* Filled unconditionally (one increment per buffered store, no
+     branch); read only when a sink is active. *)
+  let occ_hist = Array.make (ring + 1) 0 in
   let live = ref nthreads in
   let buffered = ref 0 in
   let clock = ref 0 in
@@ -883,9 +988,10 @@ let run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs =
      which stay unboxed locals only as long as no closure captures
      them. *)
   let drain_picked t =
+    let b = t * th_words in
     let base = t * ring in
-    let start = Array.unsafe_get sb_start t in
-    let len = Array.unsafe_get sb_len t in
+    let start = Array.unsafe_get th (b + th_start) in
+    let len = Array.unsafe_get th (b + th_len) in
     let pos =
       drain_pick model ~lane ~nlocs ~pso_locs ~sb_loc ~base ~start ~mask ~len
     in
@@ -894,8 +1000,8 @@ let run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs =
     let cell = Array.unsafe_get sb_cell idx in
     let value = Array.unsafe_get sb_val idx in
     ring_remove_at ~sb_loc ~sb_cell ~sb_val ~base ~start ~mask pos;
-    Array.unsafe_set sb_start t ((start + 1) land mask);
-    Array.unsafe_set sb_len t (len - 1);
+    Array.unsafe_set th (b + th_start) ((start + 1) land mask);
+    Array.unsafe_set th (b + th_len) (len - 1);
     Array.unsafe_set memory ((loc * cells) + cell) value;
     len = 1
   in
@@ -913,118 +1019,128 @@ let run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs =
         let t = i + offset in
         if t >= nthreads then t - nthreads else t
       in
-      if Array.unsafe_get ready_at t <= !clock then begin
+      let b = t * th_words in
+      if Array.unsafe_get th (b + th_ready) <= !clock then begin
         let plane =
           if i < 3 then (z lsr (i lsl 4)) land 0xFFFF else lane_next ls
         in
-        if jitter_on && Array.unsafe_get jitter_skip t = 0 then begin
+        let skip = Array.unsafe_get th (b + th_jitter) in
+        if jitter_on && skip = 0 then begin
           (* OS jitter: preempt this thread for 1 + Geometric rounds. *)
-          Array.unsafe_set jitter_skip t
-            (Array.unsafe_get jitter_table
-               (lane_next ls lsr Lane.shift_for_table));
-          Array.unsafe_set ready_at t
+          Array.unsafe_set th (b + th_jitter)
+            (Array.unsafe_get jitter_table (lane_next ls lsr skip_shift));
+          Array.unsafe_set th (b + th_ready)
             (!clock + 1
-            + Array.unsafe_get stall_table
-                (lane_next ls lsr Lane.shift_for_table));
+            + Array.unsafe_get stall_table (lane_next ls lsr skip_shift));
           incr stalls
         end
         else begin
-          if jitter_on then
-            Array.unsafe_set jitter_skip t (Array.unsafe_get jitter_skip t - 1);
+          if jitter_on then Array.unsafe_set th (b + th_jitter) (skip - 1);
           if plane < progress_threshold then begin
-            let p = Array.unsafe_get pc t in
-            let n = Array.unsafe_get iteration t in
-            if p < Array.unsafe_get code_end t then begin
-              last_progress := !clock;
-              let tag = Array.unsafe_get code p in
-              let loc = Array.unsafe_get code (p + 1) in
-              if tag <= 1 then begin
-                (* Store: value = k * iteration + a. *)
-                let stored =
-                  (Array.unsafe_get code (p + 2) * n)
-                  + Array.unsafe_get code (p + 3)
+            let p = Array.unsafe_get th (b + th_pc) in
+            let n = Array.unsafe_get th (b + th_iter) in
+            (* [retired] is 1 when the op at [p] retires, 0 when it
+               stalls (full buffer, waiting fence) or the body is
+               empty. *)
+            let retired =
+              match Array.unsafe_get ops p with
+              | 0 ->
+                let len = Array.unsafe_get th (b + th_len) in
+                if len < buffer_capacity then begin
+                  let idx =
+                    (t * ring)
+                    + ((Array.unsafe_get th (b + th_start) + len) land mask)
+                  in
+                  Array.unsafe_set sb_loc idx (Array.unsafe_get ops (p + 1));
+                  Array.unsafe_set sb_cell idx
+                    (n land Array.unsafe_get ops (p + 3));
+                  Array.unsafe_set sb_val idx
+                    ((Array.unsafe_get ops (p + 4) * n)
+                    + Array.unsafe_get ops (p + 5));
+                  (* Branch-free [if len = 0 then incr buffered]. *)
+                  buffered := !buffered + ((len - 1) lsr 62);
+                  Array.unsafe_set th (b + th_len) (len + 1);
+                  Array.unsafe_set occ_hist (len + 1)
+                    (Array.unsafe_get occ_hist (len + 1) + 1);
+                  1
+                end
+                else 0
+              | 1 ->
+                Array.unsafe_set memory
+                  (Array.unsafe_get ops (p + 2)
+                  + (n land Array.unsafe_get ops (p + 3)))
+                  ((Array.unsafe_get ops (p + 4) * n)
+                  + Array.unsafe_get ops (p + 5));
+                1
+              | 2 ->
+                let value =
+                  Array.unsafe_get memory
+                    (Array.unsafe_get ops (p + 2)
+                    + (n land Array.unsafe_get ops (p + 3)))
                 in
-                let cell = if tag = 1 then n else 0 in
-                if model_sc then begin
-                  Array.unsafe_set memory ((loc * cells) + cell) stored;
-                  Array.unsafe_set pc t (p + 4);
-                  incr instructions
-                end
-                else begin
-                  let len = Array.unsafe_get sb_len t in
-                  if len < buffer_capacity then begin
-                    let idx =
-                      (t * ring)
-                      + ((Array.unsafe_get sb_start t + len) land mask)
-                    in
-                    Array.unsafe_set sb_loc idx loc;
-                    Array.unsafe_set sb_cell idx cell;
-                    Array.unsafe_set sb_val idx stored;
-                    if len = 0 then incr buffered;
-                    Array.unsafe_set sb_len t (len + 1);
-                    if Array.length occ_hist > 0 then
-                      occ_hist.(len + 1) <- occ_hist.(len + 1) + 1;
-                    Array.unsafe_set pc t (p + 4);
-                    incr instructions
-                  end
-                end
-              end
-              else if tag <= 3 then begin
-                (* Load: forwarded from the youngest matching buffered
-                   store (backwards ring scan), else from memory. *)
-                let cell = if tag = 3 then n else 0 in
-                let len = Array.unsafe_get sb_len t in
+                let slot = Array.unsafe_get ops (p + 4) in
+                if slot >= 0 then
+                  Array.unsafe_set (Array.unsafe_get tbuf t)
+                    ((Array.unsafe_get ops (p + 5) * n) + slot)
+                    value;
+                1
+              | 3 ->
+                (* Youngest matching buffered store (backwards ring scan),
+                   else memory. *)
+                let loc = Array.unsafe_get ops (p + 1) in
+                let cell = n land Array.unsafe_get ops (p + 3) in
+                let base = t * ring in
+                let start = Array.unsafe_get th (b + th_start) in
                 let fwd = ref (-1) in
-                if not model_sc then begin
-                  let base = t * ring in
-                  let start = Array.unsafe_get sb_start t in
-                  let k = ref (len - 1) in
-                  while !fwd < 0 && !k >= 0 do
-                    let idx = base + ((start + !k) land mask) in
-                    if
-                      Array.unsafe_get sb_loc idx = loc
-                      && Array.unsafe_get sb_cell idx = cell
-                    then fwd := idx
-                    else decr k
-                  done
-                end;
+                let k = ref (Array.unsafe_get th (b + th_len) - 1) in
+                while !fwd < 0 && !k >= 0 do
+                  let idx = base + ((start + !k) land mask) in
+                  if
+                    Array.unsafe_get sb_loc idx = loc
+                    && Array.unsafe_get sb_cell idx = cell
+                  then fwd := idx
+                  else decr k
+                done;
                 let value =
                   if !fwd >= 0 then Array.unsafe_get sb_val !fwd
-                  else Array.unsafe_get memory ((loc * cells) + cell)
+                  else
+                    Array.unsafe_get memory (Array.unsafe_get ops (p + 2) + cell)
                 in
-                let reg = Array.unsafe_get code (p + 2) in
-                let r = Array.unsafe_get treads t in
-                if reg < r then
+                let slot = Array.unsafe_get ops (p + 4) in
+                if slot >= 0 then
                   Array.unsafe_set (Array.unsafe_get tbuf t)
-                    ((r * n) + reg) value;
-                Array.unsafe_set pc t (p + 4);
-                incr instructions
-              end
-              else if (not fence_waits) || Array.unsafe_get sb_len t = 0
-              then begin
-                (* Fence: waits for an empty buffer, except under SC and
-                   the fence-ignored bug. *)
-                Array.unsafe_set pc t (p + 4);
-                incr instructions
-              end
-            end;
-            if Array.unsafe_get pc t >= Array.unsafe_get code_end t then begin
+                    ((Array.unsafe_get ops (p + 5) * n) + slot)
+                    value;
+                1
+              | 4 -> 1
+              | 5 -> if Array.unsafe_get th (b + th_len) = 0 then 1 else 0
+              | _ -> 0
+            in
+            instructions := !instructions + retired;
+            last_progress :=
+              !last_progress + ((!clock - !last_progress) land -retired);
+            let p = p + (retired * op_words) in
+            if p >= Array.unsafe_get th (b + th_last) then begin
               (* Iteration end. *)
-              Array.unsafe_set iteration t (n + 1);
-              Array.unsafe_set pc t (Array.unsafe_get code_start t);
+              Array.unsafe_set th (b + th_iter) (n + 1);
+              Array.unsafe_set th (b + th_pc)
+                (Array.unsafe_get th (b + th_first));
               if n + 1 >= iterations then begin
-                Array.unsafe_set ready_at t max_int;
+                Array.unsafe_set th (b + th_ready) max_int;
                 decr live
               end
             end
+            else Array.unsafe_set th (b + th_pc) p
           end
         end
       end
     done;
     (* Drain phase: one coin per non-empty buffer, in thread order. *)
     if !buffered > 0 then
-      for t = 0 to nthreads - 1 do
-        let len = Array.unsafe_get sb_len t in
+      for w = 0 to nwriters - 1 do
+        let t = Array.unsafe_get writers w in
+        let b = t * th_words in
+        let len = Array.unsafe_get th (b + th_len) in
         if len > 0 then begin
           let d =
             if drain_coin then (lane_next ls - drain_threshold) lsr 62
@@ -1033,7 +1149,7 @@ let run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs =
           if fifo then begin
             (* Branch-free: [d] is 0 or 1, [-d] a mask of 0 or all ones. *)
             let m = -d in
-            let start = Array.unsafe_get sb_start t in
+            let start = Array.unsafe_get th (b + th_start) in
             let idx = (t * ring) + start in
             let a =
               (Array.unsafe_get sb_loc idx * cells)
@@ -1042,8 +1158,8 @@ let run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs =
             let old = Array.unsafe_get memory a in
             Array.unsafe_set memory a
               (old + ((Array.unsafe_get sb_val idx - old) land m));
-            Array.unsafe_set sb_start t ((start + d) land mask);
-            Array.unsafe_set sb_len t (len - d);
+            Array.unsafe_set th (b + th_start) ((start + d) land mask);
+            Array.unsafe_set th (b + th_len) (len - d);
             buffered := !buffered - (d land ((len - 2) lsr 62));
             drains := !drains + d;
             last_progress :=
@@ -1060,7 +1176,7 @@ let run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs =
     if !buffered = 0 then begin
       let earliest = ref max_int in
       for t = 0 to nthreads - 1 do
-        let r = Array.unsafe_get ready_at t in
+        let r = Array.unsafe_get th ((t * th_words) + th_ready) in
         if r < !earliest then earliest := r
       done;
       if !earliest > !clock + 1 && !earliest < max_int then
@@ -1069,7 +1185,7 @@ let run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs =
   done;
   (* Termination flush: drain the leftovers, one round each. *)
   for t = 0 to nthreads - 1 do
-    while Array.unsafe_get sb_len t > 0 do
+    while th.((t * th_words) + th_len) > 0 do
       incr clock;
       last_progress := !clock;
       ignore (drain_picked t);
@@ -1084,7 +1200,8 @@ let run_perpetual ~config ~rng ~image ~iterations ~t_reads ~bufs =
       barriers = 0;
       stalls = !stalls;
       termination = Completed;
-      iterations_retired = iteration;
+      iterations_retired =
+        Array.init nthreads (fun t -> th.((t * th_words) + th_iter));
       lost_stores = 0;
       persisted = None;
     }

@@ -98,7 +98,7 @@ val run :
     Fault injection ([config.faults]) is armed per thread at run start from
     [rng]; an empty profile draws nothing from it.  The hot loop's own
     scheduling randomness (offsets, progress/drain/jitter coins, buggy-model
-    drain picks) comes from a {!Lane} stream seeded by a single [rng] draw
+    drain picks) comes from a lane stream (see {!Lane}) seeded by one [rng] draw
     taken after arming, so a run is a pure function of the run seed and the
     fault-arming draws sit at a fixed point of the [rng] stream regardless
     of schedule length.
@@ -113,7 +113,11 @@ val run :
     [perple trace] command).  Observation only; the schedule is unchanged.
 
     Memory for [Indexed] operands has one cell per iteration, as litmus7
-    allocates; [Shared] operands use a single cell per location. *)
+    allocates; [Shared] operands use a single cell per location.
+
+    @raise Failure ("livelock") after 2M rounds in which no instruction
+    retired and no store drained; a store stalled on a full buffer or a
+    fence waiting for an empty one is not progress. *)
 
 val run_perpetual :
   config:Config.t ->
@@ -123,24 +127,28 @@ val run_perpetual :
   t_reads:int array ->
   bufs:int array array ->
   stats
-(** The hook-free perpetual kernel: exactly
+(** The compiled perpetual kernel: exactly
     [run ~config ~rng ~image ~iterations ~barrier:No_barrier ()] with
     every thread [t < Array.length t_reads] copying its registers
     [0 .. t_reads.(t) - 1] into [bufs.(t).(t_reads.(t) * n + i)] at the
     end of iteration [n] — the same stats, the same [bufs], the same
-    [machine.*] metrics and [machine.run] trace span — computed by one
-    inlined round loop over flat per-thread arrays instead of [run]'s
-    closures.  {!Perple_harness.Perpetual.run} selects it whenever it is
-    given no hook and no watchdog; every other run, and the test oracle
-    for this one, is [run].
+    [machine.*] metrics and [machine.run] trace span.  The run first
+    compiles every thread's body into flat int ops whose kinds are
+    resolved from the model and the program (a store buffered or
+    written through, a load with or without the forwarding scan, a
+    fence that waits or retires at once), then runs them in one inlined
+    round loop instead of [run]'s closures.
+    {!Perple_harness.Perpetual.run} selects it whenever it is given no
+    hook and no watchdog; every other run, and the test oracle for this
+    one, is [run].
 
-    Preconditions: [config.faults = []], no [Flush]/[Drain] in [image],
-    and registers numbered by load slot (thread [t]'s [i]-th load
-    targets register [i], as the Converter guarantees) — loaded values
-    are written to their [bufs] slot at the load.
+    Preconditions: [config.faults = []] and no [Flush]/[Drain] in
+    [image].  A load writes its value to its [bufs] slot when it
+    retires; since registers are written only by loads and every load
+    retires once per iteration, this leaves the register values an
+    end-of-iteration copy would see.
     @raise Invalid_argument when [iterations <= 0] (with [run]'s
     message), when [config.faults] is non-empty or [image] uses the
     persistence domain, or when [bufs] and [t_reads] disagree in length
     or a buffer is shorter than [t_reads.(t) * iterations].
-    @raise Failure with [run]'s livelock message when no instruction or
-    drain happens for 2M rounds. *)
+    @raise Failure with [run]'s livelock message under [run]'s rule. *)

@@ -12,6 +12,7 @@ module OC = Perple_core.Outcome_convert
 module Count = Perple_core.Count
 module Engine = Perple_core.Engine
 module Perpetual = Perple_harness.Perpetual
+module Config = Perple_sim.Config
 module Operational = Perple_memmodel.Operational
 module Rng = Perple_util.Rng
 
@@ -290,6 +291,62 @@ let test_heuristic_subset_of_exhaustive () =
         heur.Count.counts)
     [ "sb"; "lb"; "rfi013"; "iwp23b"; "n1" ]
 
+(* The compiled evaluator behind [Count.heuristic] against the readable
+   reference [OC.eval_heuristic], iteration by iteration, for every
+   outcome of every convertible catalog test, on a correct and on a
+   store-reordering machine.  The suite has stores with [k = 1] (the
+   decoder's division-free case) and with [k > 1]. *)
+let test_compiled_heuristic_matches_reference () =
+  let ks = ref [] and total_hits = ref 0 in
+  List.iter
+    (fun (e : Catalog.entry) ->
+      let conv = conv_of e.Catalog.test.Ast.name in
+      List.iter
+        (fun (s : Convert.store) -> ks := s.Convert.k :: !ks)
+        conv.Convert.stores;
+      List.iter
+        (fun model ->
+          let config = Config.with_model model Config.default in
+          let run =
+            Perpetual.run ~config ~rng:(Rng.create 13) ~image:conv.Convert.image
+              ~t_reads:conv.Convert.t_reads ~iterations:300 ()
+          in
+          let bufs = run.Perpetual.bufs and n = run.Perpetual.iterations in
+          List.iter
+            (fun o ->
+              match OC.convert conv o with
+              | Error _ -> ()
+              | Ok t ->
+                let plan = OC.heuristic_plan conv t in
+                let compiled = OC.compile_heuristic conv t plan in
+                let hits = ref 0 in
+                for i = 0 to n - 1 do
+                  let reference =
+                    OC.eval_heuristic conv t plan ~bufs ~iterations:n ~n:i
+                  in
+                  if reference then incr hits;
+                  if
+                    OC.eval_compiled compiled ~bufs ~iterations:n ~n:i
+                    <> reference
+                  then
+                    Alcotest.failf
+                      "%s %s iteration %d: compiled %b, reference %b"
+                      e.Catalog.test.Ast.name (Outcome.short_label o) i
+                      (not reference) reference
+                done;
+                total_hits := !total_hits + !hits;
+                check Alcotest.int
+                  (e.Catalog.test.Ast.name ^ " " ^ Outcome.short_label o)
+                  !hits
+                  (Count.heuristic conv ~outcomes:[ (t, plan) ] ~run)
+                    .Count.counts.(0))
+            (Outcome.all conv.Convert.test))
+        [ Config.Tso; Config.Tso_store_reorder ])
+    Catalog.suite;
+  check Alcotest.bool "some iterations hit" true (!total_hits > 0);
+  check Alcotest.bool "k = 1 stores" true (List.mem 1 !ks);
+  check Alcotest.bool "k > 1 stores" true (List.exists (fun k -> k > 1) !ks)
+
 let test_derived_frames_valid () =
   (* Every frame the heuristic derives is in range and satisfies the full
      perpetual predicate when counted. *)
@@ -542,6 +599,8 @@ let suite =
           test_heuristic_subset_of_exhaustive;
         Alcotest.test_case "derived frames valid" `Quick
           test_derived_frames_valid;
+        Alcotest.test_case "compiled heuristic = reference" `Quick
+          test_compiled_heuristic_matches_reference;
         Alcotest.test_case "no false positives (suite)" `Slow
           test_no_false_positives_suite;
         Alcotest.test_case "allowed targets found" `Slow

@@ -332,7 +332,7 @@ let test_t_reads_mismatch () =
         (Perpetual.run ~rng:(Rng.create 1) ~image:sb_conv.Convert.image
            ~t_reads:[| 1 |] ~iterations:10 ()))
 
-(* --- The hook-free perpetual kernel against its oracle --------------------- *)
+(* --- The compiled perpetual kernel against its oracle -------------------- *)
 
 (* [Machine.run_perpetual] must be [Machine.run] plus Perpetual's
    per-iteration register copy, run by run: the same stats (every field),
@@ -340,21 +340,47 @@ let test_t_reads_mismatch () =
    general path with a no-op [on_iteration_end] hook.  Persistency tests
    are left out: the kernel does not take them. *)
 
+(* A test image with the register counts Perpetual records. *)
+type kernel_image = {
+  name : string;
+  image : Perple_sim.Program.image;
+  t_reads : int array;
+}
+
+(* Converted images use one shared cell per location; the litmus7-style
+   images of [Program.compile_litmus] give every iteration its own cell,
+   which is the kernel's [cells = iterations] path. *)
+let converted_image test =
+  match Convert.convert test with
+  | Ok conv ->
+    Some { name = test.Ast.name; image = conv.Convert.image;
+           t_reads = conv.Convert.t_reads }
+  | Error _ -> None
+
+let indexed_image test =
+  let image = Perple_sim.Program.compile_litmus test in
+  {
+    name = test.Ast.name ^ "/indexed";
+    image;
+    t_reads =
+      Array.map
+        (fun (t : Perple_sim.Program.thread) -> t.Perple_sim.Program.reg_count)
+        image.Perple_sim.Program.programs;
+  }
+
 let kernel_images =
   lazy
     (Array.of_list
-       (List.filter_map
+       (List.concat_map
           (fun name ->
-            match Convert.convert (Catalog.find_exn name) with
-            | Ok conv
-              when not (Perple_sim.Program.uses_persistency conv.Convert.image)
-              ->
-              Some conv
-            | Ok _ | Error _ -> None)
+            let test = Catalog.find_exn name in
+            List.filter
+              (fun k -> not (Perple_sim.Program.uses_persistency k.image))
+              (Option.to_list (converted_image test) @ [ indexed_image test ]))
           Catalog.all_names))
 
 type kernel_case = {
-  conv : Convert.t;
+  kimage : kernel_image;
   stress : int;
   iterations : int;
   config : Config.t;
@@ -365,7 +391,7 @@ let print_kernel_case c =
   Printf.sprintf
     "%s stress=%d n=%d model=%s jitter=%b drain=%g progress=%g capacity=%d \
      seed=%d"
-    c.conv.Convert.test.Ast.name c.stress c.iterations
+    c.kimage.name c.stress c.iterations
     (Config.model_name c.config.Config.model)
     (c.config.Config.jitter_chance > 0.0)
     c.config.Config.drain_chance c.config.Config.progress_chance
@@ -374,7 +400,7 @@ let print_kernel_case c =
 let kernel_case_gen =
   let open QCheck.Gen in
   let images = Lazy.force kernel_images in
-  let* conv = oneofa images in
+  let* kimage = oneofa images in
   let* stress = int_bound 3 in
   let* iterations = int_range 1 3000 in
   let* model =
@@ -392,7 +418,7 @@ let kernel_case_gen =
       Config.model; drain_chance; progress_chance; buffer_capacity }
   in
   let config = if jitter then config else Config.no_jitter config in
-  { conv; stress; iterations; config; seed }
+  { kimage; stress; iterations; config; seed }
 
 let with_metrics f =
   let sink = Metrics.create_sink () in
@@ -403,8 +429,8 @@ let oracle_run c =
   with_metrics (fun () ->
       let run =
         Perpetual.run ~config:c.config ~stress_threads:c.stress
-          ~rng:(Rng.create c.seed) ~image:c.conv.Convert.image
-          ~t_reads:c.conv.Convert.t_reads ~iterations:c.iterations
+          ~rng:(Rng.create c.seed) ~image:c.kimage.image
+          ~t_reads:c.kimage.t_reads ~iterations:c.iterations
           ~on_iteration_end:(fun ~thread:_ ~iteration:_ ~regs:_ -> ())
           ()
       in
@@ -412,31 +438,55 @@ let oracle_run c =
 
 let kernel_run c =
   with_metrics (fun () ->
-      let t_reads = c.conv.Convert.t_reads in
+      let t_reads = c.kimage.t_reads in
       let bufs = Array.map (fun r -> Array.make (r * c.iterations) 0) t_reads in
       let stats =
         Machine.run_perpetual ~config:c.config ~rng:(Rng.create c.seed)
-          ~image:(Stress.extend_image c.conv.Convert.image ~threads:c.stress)
+          ~image:(Stress.extend_image c.kimage.image ~threads:c.stress)
           ~iterations:c.iterations ~t_reads ~bufs
       in
       (stats, bufs))
+
+let kernel_agrees c =
+  let (o_stats, o_bufs), o_metrics = oracle_run c in
+  let (k_stats, k_bufs), k_metrics = kernel_run c in
+  if o_stats <> k_stats then Error "stats differ"
+  else if o_bufs <> k_bufs then Error "bufs differ"
+  else if o_metrics <> k_metrics then
+    Error (Printf.sprintf "metrics differ:\n%s\n%s" o_metrics k_metrics)
+  else Ok ()
 
 let kernel_oracle_property =
   QCheck.Test.make ~name:"perpetual kernel = Machine.run + register copy"
     ~count:300
     (QCheck.make ~print:print_kernel_case kernel_case_gen)
     (fun c ->
-      let (o_stats, o_bufs), o_metrics = oracle_run c in
-      let (k_stats, k_bufs), k_metrics = kernel_run c in
-      if o_stats <> k_stats then QCheck.Test.fail_report "stats differ"
-      else if o_bufs <> k_bufs then QCheck.Test.fail_report "bufs differ"
-      else if o_metrics <> k_metrics then
-        QCheck.Test.fail_reportf "metrics differ:\n%s\n%s" o_metrics k_metrics
-      else true)
+      match kernel_agrees c with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
+(* Store forwarding on both addressings: tests whose loads read the
+   thread's own buffered stores, under TSO with a deep, slowly draining
+   buffer so that forwarding is the common case. *)
+let test_kernel_forwarding () =
+  let config =
+    { Config.default with Config.buffer_capacity = 8; drain_chance = 0.05 }
+  in
+  List.iter
+    (fun name ->
+      let test = Catalog.find_exn name in
+      List.iter
+        (fun kimage ->
+          let c = { kimage; stress = 1; iterations = 2000; config; seed = 3 } in
+          match kernel_agrees c with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s: %s" kimage.name msg)
+        (Option.to_list (converted_image test) @ [ indexed_image test ]))
+    [ "rfi013"; "n5"; "amd10" ]
 
 let sb_kernel_case config ~iterations =
   {
-    conv = Result.get_ok (Convert.convert Catalog.sb);
+    kimage = Option.get (converted_image Catalog.sb);
     stress = 0;
     iterations;
     config;
@@ -450,16 +500,29 @@ let test_kernel_invalid_iterations () =
       ignore (oracle_run c));
   Alcotest.check_raises "kernel" expected (fun () -> ignore (kernel_run c))
 
-(* With no progress and no drains nothing ever happens: both paths give
-   up after 2M idle rounds with the same livelock failure. *)
-let test_kernel_livelock () =
-  let c =
-    sb_kernel_case
-      { Config.default with Config.progress_chance = 0.0; drain_chance = 0.0 }
-      ~iterations:10
+exception Timed_out
+
+(* [f ()] under a [seconds] alarm that raises [Timed_out], so a run the
+   livelock detector misses fails the test instead of hanging it. *)
+let within ~seconds f =
+  let previous =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out))
   in
+  ignore (Unix.alarm seconds);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm previous)
+    f
+
+(* Both paths give up after 2M rounds without a retired instruction or
+   a drain, with the same livelock failure. *)
+let check_livelock config =
+  let c = sb_kernel_case config ~iterations:10 in
   let failure f =
-    match f () with _ -> None | exception Failure msg -> Some msg
+    match within ~seconds:30 f with
+    | _ -> None
+    | exception Failure msg -> Some msg
   in
   let oracle = failure (fun () -> oracle_run c) in
   check Alcotest.bool "Machine.run reports a livelock" true
@@ -468,6 +531,18 @@ let test_kernel_livelock () =
     | None -> false);
   check Alcotest.(option string) "same failure" oracle
     (failure (fun () -> kernel_run c))
+
+(* With no progress and no drains nothing ever happens. *)
+let test_kernel_livelock () =
+  check_livelock
+    { Config.default with Config.progress_chance = 0.0; drain_chance = 0.0 }
+
+(* A store stalled on a full buffer is not progress: with a one-entry
+   buffer that never drains, each thread retires its first store and
+   then retries the next one forever. *)
+let test_kernel_livelock_full_buffer () =
+  check_livelock
+    { Config.default with Config.drain_chance = 0.0; buffer_capacity = 1 }
 
 let suite =
   [
@@ -510,6 +585,9 @@ let suite =
         QCheck_alcotest.to_alcotest kernel_oracle_property;
         Alcotest.test_case "kernel invalid iterations" `Quick
           test_kernel_invalid_iterations;
+        Alcotest.test_case "kernel forwarding" `Quick test_kernel_forwarding;
         Alcotest.test_case "kernel livelock" `Quick test_kernel_livelock;
+        Alcotest.test_case "kernel livelock, full buffer" `Quick
+          test_kernel_livelock_full_buffer;
       ] );
   ]
