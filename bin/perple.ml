@@ -56,21 +56,16 @@ let seed_arg =
   let doc = "PRNG seed; equal seeds reproduce runs exactly." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* An enumerated option: parsed by [of_name], printed by [name]. *)
+let name_conv ~of_name ~name expected =
+  Arg.conv
+    ( (fun s ->
+        Option.to_result (of_name s) ~none:(`Msg ("expected " ^ expected))),
+      fun ppf v -> Format.pp_print_string ppf (name v) )
+
 let model_conv =
-  let parse s =
-    match s with
-    | "sc" -> Ok Config.Sc
-    | "tso" -> Ok Config.Tso
-    | "pso" -> Ok Config.Pso
-    | "tso+store-reorder-bug" -> Ok Config.Tso_store_reorder
-    | "tso+fence-ignored-bug" -> Ok Config.Tso_fence_ignored
-    | _ ->
-      Error
-        (`Msg
-           "expected sc, tso, pso, tso+store-reorder-bug or \
-            tso+fence-ignored-bug")
-  in
-  Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Config.model_name m))
+  name_conv ~of_name:Config.model_of_name ~name:Config.model_name
+    "sc, tso, pso, tso+store-reorder-bug or tso+fence-ignored-bug"
 
 let model_arg =
   let doc =
@@ -90,17 +85,18 @@ let stress_arg =
            Sec II-B1).")
 
 let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
+let reason_msg r = Format.asprintf "%a" Convert.pp_reason r
 
 (* Every resumable subcommand (run, supervise, crash-suite) shares this
    up-front check, so --resume without --journal fails immediately with
    the same actionable message instead of partway into setup. *)
-let resume_requires_journal =
-  "--resume requires --journal FILE: resume continues the campaign \
-   recorded in that journal, so pass the same --journal path the \
-   interrupted command used"
-
 let check_resume ~journal ~resume =
-  if resume && journal = None then Error resume_requires_journal else Ok ()
+  if resume && journal = None then
+    Error
+      "--resume requires --journal FILE: resume continues the campaign \
+       recorded in that journal, so pass the same --journal path the \
+       interrupted command used"
+  else Ok ()
 
 (* --- observability -------------------------------------------------------- *)
 
@@ -193,126 +189,34 @@ let resume_arg =
            resumed ledger is byte-identical to an uninterrupted one.  The \
            journal must match this command's configuration digest.")
 
-type 'a campaign_journal = {
-  cj_completed : (int, 'a) Hashtbl.t;
-  cj_journal : (Journal.t * string) option;  (** Open journal, its path. *)
-}
-
 let journal_errors f =
   try f () with
   | Unix.Unix_error (e, op, arg) ->
     fail "journal: %s %s: %s" op arg (Unix.error_message e)
   | Sys_error m -> fail "journal: %s" m
 
-(* Validate and ingest a journal being resumed: header digest and unit
-   count must match this command, and every record must parse
-   ([of_record]) and pass the command's own [validate] (run campaigns
-   check the journaled seed against the pre-split one; crash suites are
-   deterministic and need no extra check).  Shared by the per-run
-   journals of run/supervise (kind "run") and the per-crash-point
-   journal of crash-suite (kind "point").  Damaged trailing bytes were
-   already dropped by {!Journal.load}; compaction below rewrites the
-   file without them (and without interrupted markers) before reopening
-   for append. *)
-let ingest_journal ~path ~command ~digest ~runs ~what ~record_kind
-    ~of_record ~to_record ~index_of ~validate recovery =
-  let open Journal in
-  if recovery.dropped_bytes > 0 then
-    Printf.eprintf
-      "perple: journal %s: dropped %d damaged trailing bytes (kept %d \
-       intact)\n%!"
-      path recovery.dropped_bytes recovery.valid_bytes;
-  match recovery.records with
-  | [] -> fail "cannot resume: journal %s holds no intact records" path
-  | header :: rest -> (
-    match Ledger.parse_header header with
-    | Error m -> fail "cannot resume: %s" m
-    | Ok h ->
-      if h.Ledger.h_command <> command then
-        fail
-          "cannot resume: journal %s was written by 'perple %s', not \
-           'perple %s'"
-          path h.Ledger.h_command command
-      else if h.Ledger.h_digest <> digest then
-        fail
-          "cannot resume: journal %s was written under a different \
-           configuration; rerun with the original arguments (only --jobs, \
-           --trace and --metrics may change)"
-          path
-      else if h.Ledger.h_runs <> runs then
-        fail "cannot resume: journal %s covers %d %s, this command asks \
-              for %d"
-          path h.Ledger.h_runs what runs
-      else begin
-        let completed = Hashtbl.create 16 in
-        let rec ingest = function
-          | [] -> Ok ()
-          | r :: rest -> (
-            match Ledger.kind r with
-            | Some "interrupted" -> ingest rest
-            | Some k when k = record_kind -> (
-              match of_record r with
-              | Error m -> fail "cannot resume: %s" m
-              | Ok s ->
-                let i = index_of s in
-                if i < 0 || i >= runs then
-                  fail "cannot resume: journal %s has %s index %d out of \
-                        range"
-                    path record_kind i
-                else begin
-                  match validate i s with
-                  | Error _ as e -> e
-                  | Ok () ->
-                    Hashtbl.replace completed i s;
-                    ingest rest
-                end)
-            | Some k ->
-              fail "cannot resume: journal %s has an unexpected %S record"
-                path k
-            | None ->
-              fail "cannot resume: journal %s has a record without a kind"
-                path)
-        in
-        match ingest rest with
-        | Error _ as e -> e
-        | Ok () ->
-          let indices =
-            List.sort compare
-              (Hashtbl.fold (fun i _ acc -> i :: acc) completed [])
-          in
-          Journal.compact ~path
-            (header
-            :: List.map
-                 (fun i -> to_record (Hashtbl.find completed i))
-                 indices);
-          let j = Journal.open_append path in
-          Printf.eprintf "perple: resuming: %d of %d %s journaled in %s\n%!"
-            (Hashtbl.length completed) runs what path;
-          Ok { cj_completed = completed; cj_journal = Some (j, path) }
-      end)
-
 (* Resume replays the metrics of journaled runs instead of re-executing
    them; additions are commutative, so merging them up front keeps the
    final --metrics dump byte-identical to an uninterrupted campaign. *)
-let merge_journaled_metrics cj =
+let merge_journaled_metrics completed =
   match Perple_util.Metrics.active () with
   | None -> Ok ()
   | Some sink ->
     Hashtbl.fold
       (fun i (s : Ledger.t) acc ->
-        match (acc, s.Ledger.metrics) with
-        | Error _, _ | Ok (), None -> acc
-        | Ok (), Some m -> (
-          match Perple_util.Metrics.merge_json sink m with
-          | Ok () -> Ok ()
-          | Error e -> fail "journal: run %d: %s" i e))
-      cj.cj_completed (Ok ())
+        Result.bind acc @@ fun () ->
+        match s.Ledger.metrics with
+        | None -> Ok ()
+        | Some m ->
+          Result.map_error (Printf.sprintf "journal: run %d: %s" i)
+            (Perple_util.Metrics.merge_json sink m))
+      completed (Ok ())
 
 (* While a journaled campaign runs, SIGINT/SIGTERM flush an interrupted
    marker (via the handler-safe {!Journal.try_append}) and point at
    --resume; completed runs are already on disk, fsync'd. *)
-let with_journal_signals cj ~runs ~what ~journaled f =
-  match cj.cj_journal with
+let with_journal_signals journal ~runs ~what ~journaled f =
+  match journal with
   | Some (j, path) ->
     let handler signum =
       ignore (Journal.try_append j Ledger.interrupted_marker);
@@ -335,86 +239,127 @@ let with_journal_signals cj ~runs ~what ~journaled f =
       f
   | None -> f ()
 
-(* The shared campaign driver, generic over the record kind (a run's
-   ledger summary, a crash point's record): open/resume the journal,
-   skip journaled units, journal each retiring one under the
-   SIGINT/SIGTERM handlers, and return one record per unit — journaled
-   or freshly computed — for the printers.  [prepare] runs once the
+(* The journaled campaign body, generic over the record kind (a run's
+   ledger summary, a crash point's record): open or resume the journal
+   through {!Ledger.open_journal}, skip journaled units, journal each
+   retiring one under the SIGINT/SIGTERM handlers, and return one record
+   per unit — journaled or freshly computed — for the printers.  A
+   resumed record must parse ([of_record]), index a unit of this
+   campaign and pass the command's [validate].  [prepare] runs once the
    journal is open, before anything executes. *)
 let campaign_records ~journal ~resume ~command ~digest ~runs ~what
-    ~record_kind ~of_record ~to_record ~index_of ~validate
-    ?(prepare = fun _ -> Ok ()) ~execute () =
-  let opened =
-    match (journal, resume) with
-    | None, true -> Error resume_requires_journal
-    | None, false ->
-      Ok { cj_completed = Hashtbl.create 1; cj_journal = None }
-    | Some path, false ->
-      if Sys.file_exists path then
-        fail
-          "journal %s already exists; pass --resume to continue it or remove \
-           it first"
-          path
-      else
-        journal_errors @@ fun () ->
-        let j = Journal.create path in
-        Journal.append j
-          (Ledger.header_to_json
-             { Ledger.h_command = command; h_digest = digest; h_runs = runs });
-        Ok { cj_completed = Hashtbl.create 16; cj_journal = Some (j, path) }
-    | Some path, true -> (
-      journal_errors @@ fun () ->
-      match Journal.load path with
-      | Error m -> fail "cannot resume: %s" m
-      | Ok recovery ->
-        ingest_journal ~path ~command ~digest ~runs ~what ~record_kind
-          ~of_record ~to_record ~index_of ~validate recovery)
+    ~record_kind ~of_record ~to_record ~index_of
+    ?(validate = fun _ _ -> Ok ()) ?(prepare = fun _ -> Ok ()) ~execute () =
+  let completed = Hashtbl.create 16 in
+  let ingest path r =
+    match Ledger.kind r with
+    | Some k when k = record_kind ->
+      Result.bind (of_record r) @@ fun s ->
+      let i = index_of s in
+      if i < 0 || i >= runs then
+        fail "journal %s has %s index %d out of range" path record_kind i
+      else Result.map (fun () -> Hashtbl.replace completed i s) (validate i s)
+    | Some k -> fail "journal %s has an unexpected %S record" path k
+    | None -> fail "journal %s has a record without a kind" path
   in
-  Result.bind opened @@ fun cj ->
-  Result.bind (prepare cj) @@ fun () ->
-  let journaled = ref (Hashtbl.length cj.cj_completed) in
+  let live () =
+    List.sort compare (Hashtbl.fold (fun i _ acc -> i :: acc) completed [])
+    |> List.map (fun i -> to_record (Hashtbl.find completed i))
+  in
+  journal_errors @@ fun () ->
+  let opened =
+    match journal with
+    | None -> Ok None
+    | Some path when (not resume) && Sys.file_exists path ->
+      fail
+        "journal %s already exists; pass --resume to continue it or remove \
+         it first"
+        path
+    | Some path ->
+      Ledger.open_journal ~path ~resume ~what ~ingest:(ingest path) ~live
+        { Ledger.h_command = command; h_digest = digest; h_runs = runs }
+      |> Result.map (fun j ->
+             if resume then
+               Printf.eprintf
+                 "perple: resuming: %d of %d %s journaled in %s\n%!"
+                 (Hashtbl.length completed) runs what path;
+             Some (j, path))
+  in
+  Result.bind opened @@ fun journal ->
+  Result.bind (prepare completed) @@ fun () ->
+  let journaled = ref (Hashtbl.length completed) in
   let on_record =
     Option.map
       (fun (j, _) r ->
         Journal.append j (to_record r);
         incr journaled)
-      cj.cj_journal
+      journal
   in
-  let skip i = Hashtbl.mem cj.cj_completed i in
+  let skip i = Hashtbl.mem completed i in
   Result.map
     (fun computed ->
       Array.init runs (fun i ->
           match computed.(i) with
           | Some r -> r
-          | None -> Hashtbl.find cj.cj_completed i))
-    (journal_errors (fun () ->
-         with_journal_signals cj ~runs ~what ~journaled (fun () ->
-             execute ~skip ~on_record)))
+          | None -> Hashtbl.find completed i))
+    (with_journal_signals journal ~runs ~what ~journaled (fun () ->
+         execute ~skip ~on_record))
 
-(* [campaign_records] for seeded engine runs (run, supervise): journaled
-   seeds must match the pre-split, and journaled metrics are replayed
-   into the --metrics sink. *)
-let campaign_summaries ~journal ~resume ~command ~digest ~runs ~seed ~execute
-    =
-  let seeds = Engine.campaign_seeds ~runs ~seed in
-  let validate i (s : Ledger.t) =
-    if s.Ledger.seed <> seeds.(i) then
-      fail
-        "cannot resume: journal run %d was seeded with %d, this campaign \
-         pre-splits %d"
-        i s.Ledger.seed seeds.(i)
-    else Ok ()
-  in
-  campaign_records ~journal ~resume ~command ~digest ~runs ~what:"runs"
-    ~record_kind:"run" ~of_record:Ledger.of_json ~to_record:Ledger.to_json
-    ~index_of:(fun (s : Ledger.t) -> s.Ledger.index)
-    ~validate ~prepare:merge_journaled_metrics
-    ~execute:(fun ~skip ~on_record ->
-      let on_entry = Option.map (fun f e -> f (Ledger.of_entry e)) on_record in
-      match execute ~skip ~on_entry with
-      | Error r -> Error (Format.asprintf "%a" Convert.pp_reason r)
-      | Ok entries -> Ok (Array.map (Option.map Ledger.of_entry) entries))
-    ()
+(* The one campaign driver behind [run] and [supervise]: argument
+   checks, observability, the test, the conversion checks (made before
+   any journal exists, so a failing campaign leaves none behind), the
+   journal digest (the command's [params] plus "command", the test's
+   hash and "runs") and the journaled ledger of seeded engine runs,
+   whose journaled seeds must match the pre-split ones and whose
+   journaled metrics are replayed into the --metrics sink.  [print test]
+   runs before the campaign and returns the ledger printer; [single]
+   takes a one-run [run]. *)
+let campaign ~command ~params ~runs ~jobs ~seed ~journal ~resume ~trace
+    ~metrics ~checks ?(all_outcomes = false) ?single ~execute ~print
+    spec =
+  if runs <= 0 then fail "--runs must be positive"
+  else if jobs <= 0 then fail "--jobs must be positive"
+  else
+    match List.find_opt fst checks with
+    | Some (_, m) -> Error m
+    | None ->
+      Result.bind (check_resume ~journal ~resume) @@ fun () ->
+      with_observability ~trace ~metrics @@ fun () ->
+      Result.bind (load_test spec) @@ fun test ->
+      let outcomes = if all_outcomes then Some (Outcome.all test) else None in
+      match single with
+      | Some single when runs = 1 -> single test outcomes
+      | _ ->
+        let report = print test in
+        Result.bind
+          (Result.map_error reason_msg (Engine.convertible ?outcomes test))
+        @@ fun () ->
+        let digest =
+          Ledger.campaign_digest ~command test
+            (params @ [ ("runs", string_of_int runs) ])
+        in
+        let seeds = Engine.campaign_seeds ~runs ~seed in
+        let validate i (s : Ledger.t) =
+          if s.Ledger.seed <> seeds.(i) then
+            fail
+              "journal run %d was seeded with %d, this campaign pre-splits %d"
+              i s.Ledger.seed seeds.(i)
+          else Ok ()
+        in
+        Result.map report
+          (campaign_records ~journal ~resume ~command ~digest ~runs
+             ~what:"runs" ~record_kind:"run" ~of_record:Ledger.of_json
+             ~to_record:Ledger.to_json
+             ~index_of:(fun (s : Ledger.t) -> s.Ledger.index)
+             ~validate ~prepare:merge_journaled_metrics
+             ~execute:(fun ~skip ~on_record ->
+               let on_entry =
+                 Option.map (fun f e -> f (Ledger.of_entry e)) on_record
+               in
+               execute test outcomes ~skip ~on_entry
+               |> Result.map_error reason_msg
+               |> Result.map (Array.map (Option.map Ledger.of_entry)))
+             ())
 
 (* --- list ---------------------------------------------------------------- *)
 
@@ -616,7 +561,7 @@ let convert_cmd =
   let run spec =
     Result.bind (load_test spec) (fun test ->
         match Convert.convert test with
-        | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
+        | Error r -> Error (reason_msg r)
         | Ok conv ->
           Printf.printf "Perpetual version of %s:\n" test.Ast.name;
           Array.iteri
@@ -660,25 +605,10 @@ let convert_cmd =
 
 (* --- run ----------------------------------------------------------------- *)
 
-let counter_name = function
-  | Engine.Heuristic -> "heuristic"
-  | Engine.Exhaustive -> "exhaustive"
-  | Engine.Exhaustive_reference -> "exhaustive-reference"
-
 let counter_arg =
   let counter_conv =
-    Arg.conv
-      ( (function
-         | "heur" | "heuristic" -> Ok Engine.Heuristic
-         | "exh" | "exhaustive" -> Ok Engine.Exhaustive
-         | "exh-ref" | "reference" -> Ok Engine.Exhaustive_reference
-         | _ -> Error (`Msg "expected heur, exh or exh-ref")),
-        fun ppf c ->
-          Format.pp_print_string ppf
-            (match c with
-            | Engine.Heuristic -> "heur"
-            | Engine.Exhaustive -> "exh"
-            | Engine.Exhaustive_reference -> "exh-ref") )
+    name_conv ~of_name:Engine.counter_of_name ~name:Engine.counter_short_name
+      "heur, exh or exh-ref"
   in
   Arg.(
     value
@@ -726,7 +656,7 @@ let run_cmd =
     Printf.printf "PerpLE run of %s: %d iterations, %s counter, model %s\n"
       report.Engine.conversion.Convert.test.Ast.name
       report.Engine.run.Perple_harness.Perpetual.iterations
-      (counter_name counter) (Config.model_name model);
+      (Engine.counter_name counter) (Config.model_name model);
     if
       report.Engine.run.Perple_harness.Perpetual.iterations
       <> report.Engine.requested_iterations
@@ -752,7 +682,7 @@ let run_cmd =
     Printf.printf
       "PerpLE campaign of %s: %d runs x %d iterations, %s counter, model \
        %s\n"
-      test.Ast.name runs iterations (counter_name counter)
+      test.Ast.name runs iterations (Engine.counter_name counter)
       (Config.model_name model);
     let total_targets = ref 0 and total_runtime = ref 0 in
     Array.iteri
@@ -773,11 +703,7 @@ let run_cmd =
       "campaign total: %d target occurrences; %d virtual rounds; detection \
        rate %.3f per Mround\n"
       !total_targets !total_runtime
-      (if !total_runtime = 0 then 0.0
-       else
-         float_of_int !total_targets
-         /. float_of_int !total_runtime
-         *. 1_000_000.0)
+      (Engine.rate_per_mround ~targets:!total_targets ~rounds:!total_runtime)
   in
   let verify_trace_arg =
     Arg.(
@@ -809,56 +735,42 @@ let run_cmd =
   in
   let run spec iterations seed counter model all_outcomes stress cap runs
       jobs journal resume verify_trace trace metrics =
-    if runs <= 0 then fail "--runs must be positive"
-    else if jobs <= 0 then fail "--jobs must be positive"
-    else if verify_trace && runs <> 1 then
-      fail "--verify-trace works on a single run (--runs 1)"
-    else
-      Result.bind (check_resume ~journal ~resume) @@ fun () ->
-      if journal <> None && runs < 2 then
-        fail "--journal records campaigns; it requires --runs >= 2"
-      else
-      with_observability ~trace ~metrics @@ fun () ->
-      Result.bind (load_test spec) (fun test ->
-          let outcomes =
-            if all_outcomes then Some (Outcome.all test) else None
-          in
-          if runs = 1 then
-            match
-              Engine.run ~config:(config_of_model model) ~counter ?outcomes
-                ~exhaustive_cap:cap ~stress_threads:stress ~seed ~iterations
-                test
-            with
-            | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
-            | Ok report ->
-              print_single counter model report;
-              if verify_trace then print_trace_verdict model report else Ok ()
-          else
-            let digest =
-              Ledger.digest_of_params
-                [
-                  ("command", "run");
-                  ( "test",
-                    Digest.to_hex (Digest.string (Printer.to_string test)) );
-                  ("iterations", string_of_int iterations);
-                  ("seed", string_of_int seed);
-                  ("counter", counter_name counter);
-                  ("model", Config.model_name model);
-                  ("all_outcomes", string_of_bool all_outcomes);
-                  ("stress", string_of_int stress);
-                  ("cap", string_of_int cap);
-                  ("runs", string_of_int runs);
-                ]
-            in
-            let execute ~skip ~on_entry =
-              Engine.campaign_entries ~config:(config_of_model model)
-                ~counter ?outcomes ~exhaustive_cap:cap ~stress_threads:stress
-                ~jobs ~skip ?on_entry ~runs ~seed ~iterations test
-            in
-            Result.map
-              (print_campaign ~test ~runs ~iterations ~counter ~model)
-              (campaign_summaries ~journal ~resume ~command:"run" ~digest
-                 ~runs ~seed ~execute))
+    let config = config_of_model model in
+    campaign ~command:"run" ~runs ~jobs ~seed ~journal ~resume ~trace ~metrics
+      ~checks:
+        [
+          ( verify_trace && runs <> 1,
+            "--verify-trace works on a single run (--runs 1)" );
+          ( journal <> None && runs < 2,
+            "--journal records campaigns; it requires --runs >= 2" );
+        ]
+      ~all_outcomes
+      ~single:(fun test outcomes ->
+        match
+          Engine.run ~config ~counter ?outcomes ~exhaustive_cap:cap
+            ~stress_threads:stress ~seed ~iterations test
+        with
+        | Error r -> Error (reason_msg r)
+        | Ok report ->
+          print_single counter model report;
+          if verify_trace then print_trace_verdict model report else Ok ())
+      ~params:
+        [
+          ("iterations", string_of_int iterations);
+          ("seed", string_of_int seed);
+          ("counter", Engine.counter_name counter);
+          ("model", Config.model_name model);
+          ("all_outcomes", string_of_bool all_outcomes);
+          ("stress", string_of_int stress);
+          ("cap", string_of_int cap);
+        ]
+      ~execute:(fun test outcomes ~skip ~on_entry ->
+        Engine.campaign_entries ~config ~counter ?outcomes ~exhaustive_cap:cap
+          ~stress_threads:stress ~jobs ~skip ?on_entry ~runs ~seed ~iterations
+          test)
+      ~print:(fun test ->
+        print_campaign ~test ~runs ~iterations ~counter ~model)
+      spec
   in
   Cmd.v
     (Cmd.info "run"
@@ -874,14 +786,8 @@ let run_cmd =
 
 let mode_arg =
   let mode_conv =
-    Arg.conv
-      ( (fun s ->
-          match Sync_mode.of_name s with
-          | Some m -> Ok m
-          | None ->
-            Error
-              (`Msg "expected user, userfence, pthread, timebase or none")),
-        fun ppf m -> Format.pp_print_string ppf (Sync_mode.name m) )
+    name_conv ~of_name:Sync_mode.of_name ~name:Sync_mode.name
+      "user, userfence, pthread, timebase or none"
   in
   Arg.(
     value
@@ -1048,72 +954,53 @@ let supervise_cmd =
       "total target occurrences: %d; total virtual runtime: %d rounds; \
        detection rate: %.3f per Mround\n"
       !total_targets !total_runtime
-      (if !total_runtime = 0 then 0.0
-       else
-         float_of_int !total_targets
-         /. float_of_int !total_runtime
-         *. 1_000_000.0)
+      (Engine.rate_per_mround ~targets:!total_targets ~rounds:!total_runtime)
   in
   let run spec iterations seed model stress faults runs watchdog min_retired
       retries backoff jobs journal resume trace metrics =
-    if runs <= 0 then fail "--runs must be positive"
-    else if jobs <= 0 then fail "--jobs must be positive"
-    else if backoff <= 0.0 then fail "--backoff must be positive"
-    else
-      Result.bind (check_resume ~journal ~resume) @@ fun () ->
-      with_observability ~trace ~metrics @@ fun () ->
-      Result.bind (load_test spec) (fun test ->
-          let config =
-            Config.with_faults faults (config_of_model model)
-          in
-          let base = Supervisor.default_policy ~iterations in
-          let policy =
-            {
-              Supervisor.watchdog_rounds =
-                Option.value watchdog ~default:base.Supervisor.watchdog_rounds;
-              min_retired =
-                Option.value min_retired
-                  ~default:base.Supervisor.min_retired;
-              max_retries = retries;
-              backoff;
-            }
-          in
-          Printf.printf
-            "supervised campaign: %s, %d runs x %d iterations, faults: %s\n"
-            test.Ast.name runs iterations
-            (Fault.profile_to_string faults);
-          Printf.printf
-            "policy: watchdog %d rounds, min retired %d, max retries %d, \
-             backoff %.2f\n"
-            policy.Supervisor.watchdog_rounds policy.Supervisor.min_retired
-            policy.Supervisor.max_retries policy.Supervisor.backoff;
-          let digest =
-            Ledger.digest_of_params
-              [
-                ("command", "supervise");
-                ( "test",
-                  Digest.to_hex (Digest.string (Printer.to_string test)) );
-                ("iterations", string_of_int iterations);
-                ("seed", string_of_int seed);
-                ("model", Config.model_name model);
-                ("stress", string_of_int stress);
-                ("faults", Fault.profile_to_string faults);
-                ( "watchdog_rounds",
-                  string_of_int policy.Supervisor.watchdog_rounds );
-                ("min_retired", string_of_int policy.Supervisor.min_retired);
-                ("max_retries", string_of_int policy.Supervisor.max_retries);
-                ("backoff", Printf.sprintf "%.17g" policy.Supervisor.backoff);
-                ("runs", string_of_int runs);
-              ]
-          in
-          let execute ~skip ~on_entry =
-            Engine.campaign_entries ~config ~policy ~stress_threads:stress
-              ~jobs ~skip ?on_entry ~runs ~seed ~iterations test
-          in
-          Result.map
-            (print_ledger ~iterations)
-            (campaign_summaries ~journal ~resume ~command:"supervise" ~digest
-               ~runs ~seed ~execute))
+    let base = Supervisor.default_policy ~iterations in
+    let policy =
+      {
+        Supervisor.watchdog_rounds =
+          Option.value watchdog ~default:base.Supervisor.watchdog_rounds;
+        min_retired =
+          Option.value min_retired ~default:base.Supervisor.min_retired;
+        max_retries = retries;
+        backoff;
+      }
+    in
+    campaign ~command:"supervise" ~runs ~jobs ~seed ~journal ~resume ~trace
+      ~metrics
+      ~checks:[ (backoff <= 0.0, "--backoff must be positive") ]
+      ~params:
+        [
+          ("iterations", string_of_int iterations);
+          ("seed", string_of_int seed);
+          ("model", Config.model_name model);
+          ("stress", string_of_int stress);
+          ("faults", Fault.profile_to_string faults);
+          ("watchdog_rounds", string_of_int policy.Supervisor.watchdog_rounds);
+          ("min_retired", string_of_int policy.Supervisor.min_retired);
+          ("max_retries", string_of_int policy.Supervisor.max_retries);
+          ("backoff", Printf.sprintf "%.17g" policy.Supervisor.backoff);
+        ]
+      ~execute:(fun test _ ~skip ~on_entry ->
+        Engine.campaign_entries
+          ~config:(Config.with_faults faults (config_of_model model))
+          ~policy ~stress_threads:stress ~jobs ~skip ?on_entry ~runs ~seed
+          ~iterations test)
+      ~print:(fun test ->
+        Printf.printf
+          "supervised campaign: %s, %d runs x %d iterations, faults: %s\n"
+          test.Ast.name runs iterations
+          (Fault.profile_to_string faults);
+        Printf.printf
+          "policy: watchdog %d rounds, min retired %d, max retries %d, \
+           backoff %.2f\n"
+          policy.Supervisor.watchdog_rounds policy.Supervisor.min_retired
+          policy.Supervisor.max_retries policy.Supervisor.backoff;
+        print_ledger ~iterations)
+      spec
   in
   Cmd.v
     (Cmd.info "supervise"
@@ -1135,13 +1022,8 @@ module Crash_suite = Perple_core.Crash_suite
 module Persistency = Perple_memmodel.Persistency
 
 let persistency_conv =
-  let parse s =
-    match Config.persistency_of_name s with
-    | Some p -> Ok p
-    | None -> Error (`Msg "expected epoch or eager-bug")
-  in
-  Arg.conv
-    (parse, fun ppf p -> Format.pp_print_string ppf (Config.persistency_name p))
+  name_conv ~of_name:Config.persistency_of_name ~name:Config.persistency_name
+    "epoch or eager-bug"
 
 let persistency_arg =
   Arg.(
@@ -1228,10 +1110,8 @@ let crash_suite_cmd =
       Result.bind (load_test spec) @@ fun test ->
       let points = Crashsim.crash_points test in
       let digest =
-        Ledger.digest_of_params
+        Ledger.campaign_digest ~command:"crash-suite" test
           [
-            ("command", "crash-suite");
-            ("test", Digest.to_hex (Digest.string (Printer.to_string test)));
             ("persistency", Config.persistency_name persistency);
             ("points", string_of_int points);
           ]
@@ -1241,7 +1121,6 @@ let crash_suite_cmd =
            ~runs:points ~what:"crash points" ~record_kind:"point"
            ~of_record:Crash_suite.of_json ~to_record:Crash_suite.to_json
            ~index_of:(fun (r : Crash_suite.record) -> r.Crash_suite.point)
-           ~validate:(fun _ _ -> Ok ())
            ~execute:(fun ~skip ~on_record ->
              Ok
                (Crash_suite.evaluate ~jobs ~skip ?on_record ~persistency test))
@@ -1287,7 +1166,7 @@ let emit_cmd =
   let run spec dir native native_iters =
     Result.bind (load_test spec) (fun test ->
         match Convert.convert test with
-        | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
+        | Error r -> Error (reason_msg r)
         | Ok conv -> (
           match Codegen.all_files conv ~outcomes:(Outcome.all test) with
           | Error m -> fail "outcome conversion failed: %s" m
@@ -1357,7 +1236,7 @@ let trace_cmd =
   let run spec iterations seed model events =
     Result.bind (load_test spec) (fun test ->
         match Convert.convert test with
-        | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
+        | Error r -> Error (reason_msg r)
         | Ok conv ->
           let module Trace = Perple_harness.Trace in
           let trace, _run =
@@ -1731,11 +1610,7 @@ let submit_cmd =
           iterations;
           seed;
           runs;
-          counter =
-            (match counter with
-            | Engine.Heuristic -> "heur"
-            | Engine.Exhaustive -> "exh"
-            | Engine.Exhaustive_reference -> "exh-ref");
+          counter = Engine.counter_short_name counter;
           model = Config.model_name model;
         }
       in

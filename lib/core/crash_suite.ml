@@ -126,33 +126,9 @@ let to_json r =
       | None -> [])
     @ match r.error with Some m -> [ ("error", Json.String m) ] | None -> [])
 
-(* Strict field accessors, as in {!Ledger}: a record that lost or mistyped
-   a field is rejected whole, never half-read. *)
 let ( let* ) = Result.bind
-
-let int_field name v =
-  match Json.member name v with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "crash-suite record: %S is not an int" name)
-
-let string_field name v =
-  match Json.member name v with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "crash-suite record: %S is not a string" name)
-
-let opt_string_field name v =
-  match Json.member name v with
-  | None -> Ok None
-  | Some (Json.String s) -> Ok (Some s)
-  | Some _ ->
-    Error (Printf.sprintf "crash-suite record: %S is not a string" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+let int_field = Json.int_field ~record:"crash-suite record"
+let string_field = Json.string_field ~record:"crash-suite record"
 
 let of_json j =
   let* () =
@@ -177,7 +153,7 @@ let of_json j =
     | None -> Ok None
     | Some (Json.Obj fields) ->
       let* atoms =
-        map_result
+        Json.map_result
           (fun (x, v) ->
             match v with
             | Json.Int i -> Ok (x, i)
@@ -190,5 +166,5 @@ let of_json j =
       Ok (Some atoms)
     | Some _ -> Error "crash-suite record: \"witness\" is not an object"
   in
-  let* error = opt_string_field "error" j in
+  let* error = Json.opt_string_field ~record:"crash-suite record" "error" j in
   Ok { point; outcome; images; violations; witness; error }

@@ -38,23 +38,29 @@ let exhaustive_iterations_cap ~tl ~cap ~requested =
     shrink requested
   end
 
-let counter_label = function
-  | Exhaustive -> "exhaustive"
-  | Exhaustive_reference -> "exhaustive_reference"
-  | Heuristic -> "heuristic"
+let counter_of_name = function
+  | "heur" | "heuristic" -> Some Heuristic
+  | "exh" | "exhaustive" -> Some Exhaustive
+  | "exh-ref" | "reference" -> Some Exhaustive_reference
+  | _ -> None
 
-let run ?(config = Perple_sim.Config.default) ?faults ?policy
-    ?(counter = Heuristic) ?outcomes ?(exhaustive_cap = 250_000_000)
-    ?(stress_threads = 0) ~seed ~iterations test =
-  let trace_start = Trace.now () in
+let counter_name = function
+  | Heuristic -> "heuristic"
+  | Exhaustive -> "exhaustive"
+  | Exhaustive_reference -> "exhaustive-reference"
+
+let counter_short_name = function
+  | Heuristic -> "heur"
+  | Exhaustive -> "exh"
+  | Exhaustive_reference -> "exh-ref"
+
+(* Everything [run] checks before it executes: the body converts and so
+   does every outcome of interest.  The test is shared by a campaign's
+   runs, so {!convertible} answers for all of them up front. *)
+let prepare ?outcomes test =
   match Convert.convert_body test with
-  | Error _ as e -> e
+  | Error r -> Error r
   | Ok conversion -> (
-    let config =
-      match faults with
-      | Some faults -> Perple_sim.Config.with_faults faults config
-      | None -> config
-    in
     let outcomes =
       match outcomes with
       | Some o -> o
@@ -65,9 +71,9 @@ let run ?(config = Perple_sim.Config.default) ?faults ?policy
     in
     match outcomes with
     | [] -> Error (Convert.Memory_condition "<condition>")
-    | _ -> (
+    | _ ->
       let rec convert_outcomes acc = function
-        | [] -> Ok (List.rev acc)
+        | [] -> Ok (conversion, outcomes, List.rev acc)
         | o :: rest -> (
           match Outcome_convert.convert conversion o with
           | Ok c -> convert_outcomes (c :: acc) rest
@@ -76,101 +82,114 @@ let run ?(config = Perple_sim.Config.default) ?faults ?policy
                report as a memory-condition-class failure. *)
             Error (Convert.Memory_condition "<outcome>"))
       in
-      match convert_outcomes [] outcomes with
-      | Error e -> Error e
-      | Ok converted ->
-        let tl = Array.length conversion.Convert.load_threads in
-        let requested_iterations = iterations in
-        let iterations =
-          match counter with
-          | Heuristic -> iterations
-          | Exhaustive | Exhaustive_reference ->
-            exhaustive_iterations_cap ~tl ~cap:exhaustive_cap
-              ~requested:iterations
+      convert_outcomes [] outcomes)
+
+let convertible ?outcomes test = Result.map ignore (prepare ?outcomes test)
+
+let run ?(config = Perple_sim.Config.default) ?faults ?policy
+    ?(counter = Heuristic) ?outcomes ?(exhaustive_cap = 250_000_000)
+    ?(stress_threads = 0) ~seed ~iterations test =
+  let trace_start = Trace.now () in
+  match prepare ?outcomes test with
+  | Error r -> Error r
+  | Ok (conversion, outcomes, converted) ->
+    let config =
+      match faults with
+      | Some faults -> Perple_sim.Config.with_faults faults config
+      | None -> config
+    in
+    let tl = Array.length conversion.Convert.load_threads in
+    let requested_iterations = iterations in
+    let iterations =
+      match counter with
+      | Heuristic -> iterations
+      | Exhaustive | Exhaustive_reference ->
+        exhaustive_iterations_cap ~tl ~cap:exhaustive_cap
+          ~requested:iterations
+    in
+    let rng = Rng.create seed in
+    (* Obtain the run: supervised (watchdog + retry + salvage) when a
+       policy is given, a single direct run otherwise.  Either way a
+       run cut short by faults is salvaged: counting proceeds over the
+       fully retired prefix instead of discarding the run. *)
+    let run, supervision =
+      match policy with
+      | Some policy ->
+        let sup =
+          Supervisor.run_perpetual ~config ~stress_threads ~policy ~rng
+            ~image:conversion.Convert.image
+            ~t_reads:conversion.Convert.t_reads ~iterations ()
         in
-        let rng = Rng.create seed in
-        (* Obtain the run: supervised (watchdog + retry + salvage) when a
-           policy is given, a single direct run otherwise.  Either way a
-           run cut short by faults is salvaged: counting proceeds over the
-           fully retired prefix instead of discarding the run. *)
-        let run, supervision =
-          match policy with
-          | Some policy ->
-            let sup =
-              Supervisor.run_perpetual ~config ~stress_threads ~policy ~rng
-                ~image:conversion.Convert.image
-                ~t_reads:conversion.Convert.t_reads ~iterations ()
-            in
-            let run =
-              match sup.Supervisor.run with
-              | Some run -> run
-              | None ->
-                Perpetual.empty ~t_reads:conversion.Convert.t_reads
-                  ~virtual_runtime:sup.Supervisor.total_rounds
-                  ~termination:Machine.Watchdog_abort
-            in
-            (run, Some sup)
+        let run =
+          match sup.Supervisor.run with
+          | Some run -> run
           | None ->
-            let run =
-              Perpetual.run ~config ~stress_threads ~rng
-                ~image:conversion.Convert.image
-                ~t_reads:conversion.Convert.t_reads ~iterations ()
-            in
-            (Perpetual.truncate run ~iterations:(Perpetual.retired run), None)
+            Perpetual.empty ~t_reads:conversion.Convert.t_reads
+              ~virtual_runtime:sup.Supervisor.total_rounds
+              ~termination:Machine.Watchdog_abort
         in
-        let degraded = run.Perpetual.iterations < iterations in
-        let result =
-          if run.Perpetual.iterations = 0 then
-            { Count.counts = Array.make (List.length outcomes) 0;
-              frames_examined = 0; evaluations = 0 }
-          else
-            match counter with
-            | Exhaustive ->
-              Count.exhaustive conversion ~outcomes:converted ~run
-            | Exhaustive_reference ->
-              Count.exhaustive_reference conversion ~outcomes:converted ~run
-            | Heuristic ->
-              Count.heuristic_auto conversion ~outcomes:converted ~run
+        (run, Some sup)
+      | None ->
+        let run =
+          Perpetual.run ~config ~stress_threads ~rng
+            ~image:conversion.Convert.image
+            ~t_reads:conversion.Convert.t_reads ~iterations ()
         in
-        let run_rounds =
-          match supervision with
-          | Some sup -> sup.Supervisor.total_rounds
-          | None -> run.Perpetual.virtual_runtime
-        in
-        (match Metrics.active () with
-        | Some m ->
-          Metrics.add m "engine.runs" 1;
-          if degraded then Metrics.add m "engine.degraded_runs" 1;
-          Metrics.add m "engine.salvaged_iterations" run.Perpetual.iterations;
-          Metrics.add m "engine.virtual_runtime"
-            (run_rounds + result.Count.evaluations)
-        | None -> ());
-        Trace.complete ~name:"engine.run" ~since:trace_start
-          ~args:
-            [
-              ( "test",
-                Trace.String conversion.Convert.test.Perple_litmus.Ast.name );
-              ("seed", Trace.Int seed);
-              ("iterations", Trace.Int iterations);
-              ("counter", Trace.String (counter_label counter));
-              ("degraded", Trace.Bool degraded);
-            ]
-          ();
-        Ok
-          {
-            conversion;
-            run;
-            outcomes;
-            counts = result.Count.counts;
-            frames_examined = result.Count.frames_examined;
-            evaluations = result.Count.evaluations;
-            counter;
-            virtual_runtime = run_rounds + result.Count.evaluations;
-            requested_iterations;
-            degraded;
-            salvaged_iterations = run.Perpetual.iterations;
-            supervision;
-          }))
+        (Perpetual.truncate run ~iterations:(Perpetual.retired run), None)
+    in
+    let degraded = run.Perpetual.iterations < iterations in
+    let result =
+      if run.Perpetual.iterations = 0 then
+        { Count.counts = Array.make (List.length outcomes) 0;
+          frames_examined = 0; evaluations = 0 }
+      else
+        match counter with
+        | Exhaustive ->
+          Count.exhaustive conversion ~outcomes:converted ~run
+        | Exhaustive_reference ->
+          Count.exhaustive_reference conversion ~outcomes:converted ~run
+        | Heuristic ->
+          Count.heuristic_auto conversion ~outcomes:converted ~run
+    in
+    let run_rounds =
+      match supervision with
+      | Some sup -> sup.Supervisor.total_rounds
+      | None -> run.Perpetual.virtual_runtime
+    in
+    (match Metrics.active () with
+    | Some m ->
+      Metrics.add m "engine.runs" 1;
+      if degraded then Metrics.add m "engine.degraded_runs" 1;
+      Metrics.add m "engine.salvaged_iterations" run.Perpetual.iterations;
+      Metrics.add m "engine.virtual_runtime"
+        (run_rounds + result.Count.evaluations)
+    | None -> ());
+    Trace.complete ~name:"engine.run" ~since:trace_start
+      ~args:
+        [
+          ( "test",
+            Trace.String conversion.Convert.test.Perple_litmus.Ast.name );
+          ("seed", Trace.Int seed);
+          ("iterations", Trace.Int iterations);
+          ("counter", Trace.String (counter_name counter));
+          ("degraded", Trace.Bool degraded);
+        ]
+      ();
+    Ok
+      {
+        conversion;
+        run;
+        outcomes;
+        counts = result.Count.counts;
+        frames_examined = result.Count.frames_examined;
+        evaluations = result.Count.evaluations;
+        counter;
+        virtual_runtime = run_rounds + result.Count.evaluations;
+        requested_iterations;
+        degraded;
+        salvaged_iterations = run.Perpetual.iterations;
+        supervision;
+      }
 
 type crash = { message : string; backtrace : string }
 
@@ -326,9 +345,9 @@ let campaign ?config ?faults ?policy ?counter ?outcomes ?exhaustive_cap
 let target_count report =
   if Array.length report.counts = 0 then 0 else report.counts.(0)
 
+let rate_per_mround ~targets ~rounds =
+  if rounds = 0 then 0.0
+  else float_of_int targets /. float_of_int rounds *. 1_000_000.0
+
 let detection_rate report =
-  if report.virtual_runtime = 0 then 0.0
-  else
-    float_of_int (target_count report)
-    /. float_of_int report.virtual_runtime
-    *. 1_000_000.0
+  rate_per_mround ~targets:(target_count report) ~rounds:report.virtual_runtime

@@ -21,6 +21,18 @@ type counter =
           correctness baseline. *)
   | Heuristic
 
+val counter_of_name : string -> counter option
+(** Accepts each counter's short and long spelling ([heur]/[heuristic],
+    [exh]/[exhaustive], [exh-ref]/[reference]). *)
+
+val counter_name : counter -> string
+(** The long spelling the CLI prints and [run] hashes into its journal
+    digest: [heuristic], [exhaustive], [exhaustive-reference]. *)
+
+val counter_short_name : counter -> string
+(** The wire spelling, hashed by the service's campaign digest: [heur],
+    [exh], [exh-ref]. *)
+
 type report = {
   conversion : Convert.t;
   run : Perple_harness.Perpetual.run;
@@ -82,6 +94,12 @@ val run :
     proceeds over the completed prefix and the report is marked
     [degraded].  Beware that a hang or livelock fault without a policy
     leaves no watchdog to bound the run. *)
+
+val convertible :
+  ?outcomes:Outcome.t list -> Ast.t -> (unit, Convert.reason) result
+(** The conversion checks {!run} makes before executing anything (the
+    test body and every outcome of interest convert), so a campaign can
+    fail before it creates a journal. *)
 
 type crash = {
   message : string;  (** [Printexc.to_string] of the task's exception. *)
@@ -161,9 +179,13 @@ val campaign :
 val target_count : report -> int
 (** Occurrences of the first outcome of interest (the target). *)
 
+val rate_per_mround : targets:int -> rounds:int -> float
+(** Target occurrences per million virtual rounds ([0.] when [rounds = 0])
+    — the paper's target outcome detection rate metric (Sec VI-B3),
+    against the virtual clock. *)
+
 val detection_rate : report -> float
-(** Target occurrences per million virtual rounds — the paper's target
-    outcome detection rate metric (Sec VI-B3), against the virtual clock. *)
+(** {!rate_per_mround} of one report. *)
 
 val exhaustive_iterations_cap : tl:int -> cap:int -> requested:int -> int
 (** Largest [N <= requested] with [N^tl <= cap]. *)

@@ -6,6 +6,7 @@
    journaled ones, and the two stdout streams are byte-identical. *)
 
 module Json = Perple_util.Json
+module Journal = Perple_util.Journal
 module Supervisor = Perple_harness.Supervisor
 module Perpetual = Perple_harness.Perpetual
 
@@ -161,37 +162,10 @@ let to_json s =
       | None -> [])
     @ match s.metrics with Some m -> [ ("metrics", m) ] | None -> [])
 
-(* Strict field accessors: a journal record that lost or mistyped a field
-   is rejected whole, never half-read. *)
 let ( let* ) = Result.bind
-
-let int_field name v =
-  match Json.member name v with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "ledger record: %S is not an int" name)
-
-let bool_field name v =
-  match Json.member name v with
-  | Some (Json.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "ledger record: %S is not a bool" name)
-
-let string_field name v =
-  match Json.member name v with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "ledger record: %S is not a string" name)
-
-let opt_string_field name v =
-  match Json.member name v with
-  | None -> Ok None
-  | Some (Json.String s) -> Ok (Some s)
-  | Some _ -> Error (Printf.sprintf "ledger record: %S is not a string" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+let int_field = Json.int_field ~record:"ledger record"
+let bool_field = Json.bool_field ~record:"ledger record"
+let string_field = Json.string_field ~record:"ledger record"
 
 let attempt_of_json j =
   let* a_index = int_field "index" j in
@@ -200,7 +174,7 @@ let attempt_of_json j =
   let* a_retired = int_field "retired" j in
   let* a_rounds = int_field "rounds" j in
   let* a_lost_stores = int_field "lost_stores" j in
-  let* a_exn = opt_string_field "exn" j in
+  let* a_exn = Json.opt_string_field ~record:"ledger record" "exn" j in
   Ok { a_index; a_outcome; a_requested; a_retired; a_rounds; a_lost_stores;
        a_exn }
 
@@ -216,7 +190,7 @@ let supervision_of_json j =
   let* s_lost = bool_field "lost" j in
   let* s_attempts =
     match Json.member "attempts" j with
-    | Some (Json.List l) -> map_result attempt_of_json l
+    | Some (Json.List l) -> Json.map_result attempt_of_json l
     | _ -> Error "ledger record: \"attempts\" is not a list"
   in
   Ok { s_outcome; s_total_rounds; s_lost; s_attempts }
@@ -246,7 +220,7 @@ let of_json j =
     match Json.member "counts" j with
     | Some (Json.List l) ->
       let* ints =
-        map_result
+        Json.map_result
           (function
             | Json.Int i -> Ok i
             | _ -> Error "ledger record: non-int count")
@@ -279,6 +253,12 @@ let digest_of_params params =
     (Digest.string
        (String.concat "\n"
           (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) params)))
+
+let campaign_digest ~command test params =
+  let text = Perple_litmus.Printer.to_string test in
+  digest_of_params
+    (("command", command) :: ("test", Digest.to_hex (Digest.string text))
+   :: params)
 
 type header = { h_command : string; h_digest : string; h_runs : int }
 
@@ -313,6 +293,56 @@ let kind j =
 
 let interrupted_marker = Json.Obj [ ("kind", Json.String "interrupted") ]
 let draining_marker = Json.Obj [ ("kind", Json.String "draining") ]
+
+(* The one journal-opening protocol, shared by the CLI's campaigns and
+   the service scheduler; see the interface for the sequence. *)
+let open_journal ?(prog = "perple") ?(fresh_if_empty = false) ~path ~resume
+    ~what ~ingest ~live expect =
+  let fail fmt = Printf.ksprintf (fun m -> Error ("cannot resume: " ^ m)) fmt in
+  let fresh () =
+    let j = Journal.create path in
+    Journal.append j (header_to_json expect);
+    Ok j
+  in
+  if not resume then fresh ()
+  else
+    match Journal.load path with
+    | Error m -> fail "%s" m
+    | Ok recovery -> (
+      if recovery.Journal.dropped_bytes > 0 then
+        Printf.eprintf
+          "%s: journal %s: dropped %d damaged trailing bytes (kept %d \
+           intact)\n%!"
+          prog path recovery.Journal.dropped_bytes recovery.Journal.valid_bytes;
+      match recovery.Journal.records with
+      | [] when fresh_if_empty -> fresh ()
+      | [] -> fail "journal %s holds no intact records" path
+      | header :: records -> (
+        match parse_header header with
+        | Error m -> fail "%s" m
+        | Ok h when h.h_command <> expect.h_command ->
+          fail "journal %s was written by 'perple %s', not 'perple %s'" path
+            h.h_command expect.h_command
+        | Ok h when h.h_digest <> expect.h_digest ->
+          fail
+            "journal %s was written under a different configuration; rerun \
+             with the original arguments (only --jobs, --trace and \
+             --metrics may change)"
+            path
+        | Ok h when h.h_runs <> expect.h_runs ->
+          fail "journal %s covers %d %s, this command asks for %d" path
+            h.h_runs what expect.h_runs
+        | Ok _ -> (
+          let replay r =
+            match kind r with
+            | Some ("interrupted" | "draining") -> Ok ()
+            | _ -> ingest r
+          in
+          match Json.map_result replay records with
+          | Error m -> fail "%s" m
+          | Ok _ ->
+            Journal.compact ~path (header_to_json expect :: live ());
+            Ok (Journal.open_append path))))
 
 (* The canonical streamed form of a run record: exactly the compact JSON
    the journal stores, so a daemon re-streaming journaled entries emits

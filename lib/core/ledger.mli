@@ -62,6 +62,12 @@ val digest_of_params : (string * string) list -> string
 (** Canonical digest (MD5, hex) of the campaign parameters, so a resume
     refuses a journal written under different settings. *)
 
+val campaign_digest :
+  command:string -> Perple_litmus.Ast.t -> (string * string) list -> string
+(** {!digest_of_params} of the command, the test's hash (MD5 of its
+    printed form) and then [params]: the configuration digest of every
+    journaled campaign. *)
+
 type header = { h_command : string; h_digest : string; h_runs : int }
 
 val header_to_json : header -> Json.t
@@ -76,6 +82,30 @@ val interrupted_marker : Json.t
 val draining_marker : Json.t
 (** Appended by [perple serve] on SIGINT/SIGTERM after sessions drain;
     skipped (like ["interrupted"]) when the journal is replayed. *)
+
+val open_journal :
+  ?prog:string ->
+  ?fresh_if_empty:bool ->
+  path:string ->
+  resume:bool ->
+  what:string ->
+  ingest:(Json.t -> (unit, string) result) ->
+  live:(unit -> Json.t list) ->
+  header ->
+  (Perple_util.Journal.t, string) result
+(** Opens the journal at [path] for the campaign whose header is given.
+
+    Without [resume] the file is created (truncated) and the header is
+    appended, fsync'd.  With [resume] the file is loaded once; a dropped
+    damaged tail is noted on stderr under [prog] (default ["perple"]);
+    the header must match in command, digest and run count ([what]
+    names the units in the mismatch message); every later record except
+    the ["interrupted"] and ["draining"] markers goes to [ingest] in
+    file order; then the file is compacted to the header plus [live ()]
+    and reopened for append.  A journal with no intact record is an
+    error unless [fresh_if_empty], which starts it over.  Every error is
+    prefixed ["cannot resume: "].  I/O failures raise [Unix.Unix_error]
+    or [Sys_error]. *)
 
 val record_line : t -> string
 (** The canonical single-line serialization of a run record

@@ -104,9 +104,6 @@ let run_tool ?config ~params ~iterations ~test tool =
       target_count = count;
       virtual_runtime = result.Litmus7.virtual_runtime;
       detection_rate =
-        (if result.Litmus7.virtual_runtime = 0 then 0.0
-         else
-           float_of_int count
-           /. float_of_int result.Litmus7.virtual_runtime
-           *. 1_000_000.0);
+        Engine.rate_per_mround ~targets:count
+          ~rounds:result.Litmus7.virtual_runtime;
     }

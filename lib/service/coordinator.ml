@@ -111,15 +111,8 @@ let dead_record ~campaign sh ~reason =
     ((("kind", Json.String "shard-dead") :: shard_fields ~campaign sh)
     @ [ ("reason", Json.String reason) ])
 
-let str_field name j =
-  match Json.member name j with
-  | Some (Json.String s) -> Ok s
-  | _ -> fail "coordinator journal record: %S is not a string" name
-
-let int_field name j =
-  match Json.member name j with
-  | Some (Json.Int i) -> Ok i
-  | _ -> fail "coordinator journal record: %S is not an int" name
+let str_field = Json.string_field ~record:"coordinator journal record"
+let int_field = Json.int_field ~record:"coordinator journal record"
 
 (* --- dead shards ------------------------------------------------------------ *)
 

@@ -23,7 +23,6 @@ module Metrics = Perple_util.Metrics
 module Trace = Perple_util.Trace_event
 module Ast = Perple_litmus.Ast
 module Parser = Perple_litmus.Parser
-module Printer = Perple_litmus.Printer
 module Catalog = Perple_litmus.Catalog
 module Config = Perple_sim.Config
 module Engine = Perple_core.Engine
@@ -52,7 +51,6 @@ type t = {
   pool : Perple_core.Pool.t option;
       (** Persistent worker pool, reused by every {!execute} call across
           campaigns; [None] when [jobs = 1] (sequential). *)
-  journal_path : string option;
   mutable journal : Journal.t option;
   campaigns : (string, campaign) Hashtbl.t;
   mutable order : string list;  (** Submit order, oldest first. *)
@@ -60,20 +58,6 @@ type t = {
 }
 
 (* --- spec validation ------------------------------------------------------- *)
-
-let counter_of_name = function
-  | "heur" | "heuristic" -> Some Engine.Heuristic
-  | "exh" | "exhaustive" -> Some Engine.Exhaustive
-  | "exh-ref" | "reference" -> Some Engine.Exhaustive_reference
-  | _ -> None
-
-let model_of_name = function
-  | "sc" -> Some Config.Sc
-  | "tso" -> Some Config.Tso
-  | "pso" -> Some Config.Pso
-  | "tso+store-reorder-bug" -> Some Config.Tso_store_reorder
-  | "tso+fence-ignored-bug" -> Some Config.Tso_fence_ignored
-  | _ -> None
 
 let resolve_test text =
   match Catalog.find text with
@@ -104,10 +88,10 @@ let resolve (spec : Wire.spec) =
   else if spec.Wire.iterations < 1 then fail "iterations must be positive"
   else if spec.Wire.seed < 0 then fail "seed must be non-negative"
   else
-    match counter_of_name spec.Wire.counter with
+    match Engine.counter_of_name spec.Wire.counter with
     | None -> fail "unknown counter %S (heur, exh or exh-ref)" spec.Wire.counter
     | Some counter -> (
-      match model_of_name spec.Wire.model with
+      match Config.model_of_name spec.Wire.model with
       | None -> fail "unknown model %S" spec.Wire.model
       | Some model -> (
         match resolve_test spec.Wire.test with
@@ -122,18 +106,11 @@ let resolve (spec : Wire.spec) =
             | Error m -> fail "test %s has no countable target: %s" test.Ast.name m
             | Ok _ ->
               let digest =
-                Ledger.digest_of_params
+                Ledger.campaign_digest ~command:"serve-campaign" test
                   [
-                    ("command", "serve-campaign");
-                    ( "test",
-                      Digest.to_hex (Digest.string (Printer.to_string test)) );
                     ("iterations", string_of_int spec.Wire.iterations);
                     ("seed", string_of_int spec.Wire.seed);
-                    ("counter", Engine.(
-                       match counter with
-                       | Heuristic -> "heur"
-                       | Exhaustive -> "exh"
-                       | Exhaustive_reference -> "exh-ref"));
+                    ("counter", Engine.counter_short_name counter);
                     ("model", Config.model_name model);
                     ("runs", string_of_int spec.Wire.runs);
                   ]
@@ -159,11 +136,12 @@ let resolve (spec : Wire.spec) =
 
 (* --- journal records ------------------------------------------------------- *)
 
-let serve_digest = Ledger.digest_of_params [ ("command", "serve") ]
-
-let header_record =
-  Ledger.header_to_json
-    { Ledger.h_command = "serve"; h_digest = serve_digest; h_runs = 0 }
+let header =
+  {
+    Ledger.h_command = "serve";
+    h_digest = Ledger.digest_of_params [ ("command", "serve") ];
+    h_runs = 0;
+  }
 
 let spec_record (s : Wire.spec) =
   Json.Obj
@@ -190,15 +168,8 @@ let cancel_record campaign =
   Json.Obj
     [ ("kind", Json.String "cancel"); ("campaign", Json.String campaign) ]
 
-let str_field name j =
-  match Json.member name j with
-  | Some (Json.String s) -> Ok s
-  | _ -> fail "journal record: %S is not a string" name
-
-let int_field name j =
-  match Json.member name j with
-  | Some (Json.Int i) -> Ok i
-  | _ -> fail "journal record: %S is not an int" name
+let str_field = Json.string_field ~record:"journal record"
+let int_field = Json.int_field ~record:"journal record"
 
 let spec_of_record j =
   let ( let* ) = Result.bind in
@@ -243,7 +214,6 @@ let store t c ~campaign summary =
 let ingest_record t j =
   let ( let* ) = Result.bind in
   match Ledger.kind j with
-  | Some ("interrupted" | "draining") -> Ok ()
   | Some "spec" ->
     let* spec = spec_of_record j in
     let* c = resolve spec in
@@ -284,34 +254,22 @@ let ingest_record t j =
   | Some k -> fail "journal: unexpected %S record" k
   | None -> fail "journal: record without a kind"
 
-(* Rewrite the journal to its live contents (drop shutdown markers and
-   CRC-damaged tails) before reopening for append. *)
+(* The journal's live contents after the header, for compaction. *)
 let compacted t =
-  let specs = List.map (fun id -> spec_record (Hashtbl.find t.campaigns id).spec) t.order in
-  let cancels =
-    List.filter_map
-      (fun id ->
-        if (Hashtbl.find t.campaigns id).cancelled then
-          Some (cancel_record id)
-        else None)
-      t.order
-  in
-  let cruns =
-    List.concat_map
-      (fun id ->
-        let c = Hashtbl.find t.campaigns id in
+  let camps = List.map (fun id -> (id, Hashtbl.find t.campaigns id)) t.order in
+  List.map (fun (_, c) -> spec_record c.spec) camps
+  @ List.filter_map
+      (fun (id, c) -> if c.cancelled then Some (cancel_record id) else None)
+      camps
+  @ List.concat_map
+      (fun (id, c) ->
+        (* Stored lines are our own serialization, so they parse. *)
         List.filter_map
-          (fun i ->
-            match c.records.(i) with
-            | None -> None
-            | Some line -> (
-              match Json.parse line with
-              | Ok run_json -> Some (crun_record id run_json)
-              | Error _ -> None (* cannot happen: we serialized it *)))
-          (List.init (Array.length c.records) Fun.id))
-      t.order
-  in
-  (header_record :: specs) @ cancels @ cruns @ List.rev t.extras
+          (Option.map (fun line ->
+               crun_record id (Result.get_ok (Json.parse line))))
+          (Array.to_list c.records))
+      camps
+  @ List.rev t.extras
 
 let create ?(jobs = 1) ~journal () =
   if jobs < 1 then invalid_arg "Scheduler.create: jobs must be >= 1";
@@ -319,7 +277,6 @@ let create ?(jobs = 1) ~journal () =
     {
       jobs;
       pool = None;
-      journal_path = journal;
       journal = None;
       campaigns = Hashtbl.create 8;
       order = [];
@@ -341,53 +298,16 @@ let create ?(jobs = 1) ~journal () =
   match journal with
   | None -> finish t
   | Some path ->
-    if not (Sys.file_exists path) then begin
-      let j = Journal.create path in
-      Journal.append j header_record;
-      t.journal <- Some j;
-      finish t
-    end
-    else begin
-      match Journal.load path with
-      | Error m -> fail "journal %s: %s" path m
-      | Ok recovery -> (
-        if recovery.Journal.dropped_bytes > 0 then
-          Printf.eprintf
-            "perpled: journal %s: dropped %d damaged trailing bytes (kept %d \
-             intact)\n%!"
-            path recovery.Journal.dropped_bytes recovery.Journal.valid_bytes;
-        match recovery.Journal.records with
-        | [] ->
-          (* Created but crashed before the header was durable: start over. *)
-          let j = Journal.create path in
-          Journal.append j header_record;
-          t.journal <- Some j;
-          finish t
-        | header :: rest -> (
-          match Ledger.parse_header header with
-          | Error m -> fail "cannot resume: %s" m
-          | Ok h ->
-            if h.Ledger.h_command <> "serve" then
-              fail
-                "cannot resume: journal %s was written by 'perple %s', not \
-                 'perple serve'"
-                path h.Ledger.h_command
-            else begin
-              let rec ingest = function
-                | [] -> Ok ()
-                | r :: rest -> (
-                  match ingest_record t r with
-                  | Error _ as e -> e
-                  | Ok () -> ingest rest)
-              in
-              match ingest rest with
-              | Error m -> fail "cannot resume: %s" m
-              | Ok () ->
-                Journal.compact ~path (compacted t);
-                t.journal <- Some (Journal.open_append path);
-                finish t
-            end))
-    end
+    (* A missing journal, or one that crashed before its header was
+       durable, starts over. *)
+    Result.bind
+      (Ledger.open_journal ~prog:"perpled" ~fresh_if_empty:true ~path
+         ~resume:(Sys.file_exists path) ~what:"runs" ~ingest:(ingest_record t)
+         ~live:(fun () -> compacted t)
+         header)
+      (fun j ->
+        t.journal <- Some j;
+        finish t)
 
 (* --- queries --------------------------------------------------------------- *)
 
@@ -588,10 +508,8 @@ let close_journal t =
 let shutdown_pool t =
   match t.pool with None -> () | Some p -> Perple_core.Pool.shutdown p
 
-let abandon t =
-  close_journal t;
-  shutdown_pool t
-
 let close t =
   close_journal t;
   shutdown_pool t
+
+let abandon = close

@@ -32,6 +32,11 @@ let model_name = function
   | Tso_store_reorder -> "tso+store-reorder-bug"
   | Tso_fence_ignored -> "tso+fence-ignored-bug"
 
+let model_of_name s =
+  List.find_opt
+    (fun m -> model_name m = s)
+    [ Sc; Tso; Pso; Tso_store_reorder; Tso_fence_ignored ]
+
 let persistency_name = function Epoch -> "epoch" | Eager -> "eager-bug"
 
 let persistency_of_name = function

@@ -64,6 +64,9 @@ val default : t
 
 val model_name : model -> string
 
+val model_of_name : string -> model option
+(** Inverse of {!model_name}. *)
+
 val persistency_name : persistency -> string
 (** ["epoch"] or ["eager-bug"]. *)
 

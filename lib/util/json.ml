@@ -326,3 +326,29 @@ let parse_file path =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
+
+(* Strict record-field readers: a record that lost or mistyped a field is
+   rejected whole, never half-read.  [record] prefixes the error. *)
+let field ~record kind get name v =
+  match Option.bind (member name v) get with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "%s: %S is not %s" record name kind)
+
+let int_field ~record =
+  field ~record "an int" (function Int i -> Some i | _ -> None)
+
+let bool_field ~record =
+  field ~record "a bool" (function Bool b -> Some b | _ -> None)
+
+let string_field ~record =
+  field ~record "a string" (function String s -> Some s | _ -> None)
+
+let opt_string_field ~record name v =
+  match member name v with
+  | None -> Ok None
+  | Some _ -> Result.map Option.some (string_field ~record name v)
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+    Result.bind (f x) (fun y -> Result.map (List.cons y) (map_result f rest))

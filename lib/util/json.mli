@@ -38,3 +38,20 @@ val parse_file : string -> (t, string) result
 
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on other constructors. *)
+
+(** {1 Strict record-field readers}
+
+    Each returns [Error "RECORD: \"NAME\" is not ..."] when the field is
+    missing or mistyped, so a damaged record is rejected whole. *)
+
+val int_field : record:string -> string -> t -> (int, string) result
+val bool_field : record:string -> string -> t -> (bool, string) result
+val string_field : record:string -> string -> t -> (string, string) result
+
+val opt_string_field :
+  record:string -> string -> t -> (string option, string) result
+(** [Ok None] when the field is absent. *)
+
+val map_result :
+  ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
+(** The first error, or every result in order. *)

@@ -158,12 +158,7 @@ let merge_json sink json =
     | Some _ | None ->
       Stdlib.Error (Printf.sprintf "metrics record: %S is not an object" name)
   in
-  let rec each f = function
-    | [] -> Stdlib.Ok ()
-    | x :: rest ->
-      let* () = f x in
-      each f rest
-  in
+  let each f l = Result.map ignore (Json.map_result f l) in
   let* counters = obj_member "counters" json in
   let* histograms = obj_member "histograms" json in
   let* () =

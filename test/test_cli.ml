@@ -407,6 +407,30 @@ let test_crash_suite_wrong_config_rejected () =
          (Filename.quote journal))
   end
 
+(* A campaign that fails its conversion checks creates no journal, so
+   the same command rerun reports the conversion error again instead of
+   refusing to overwrite a header-only journal. *)
+let test_failed_campaign_leaves_no_journal () =
+  if Lazy.force have_binary then begin
+    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote cs_dir)));
+    Sys.mkdir cs_dir 0o755;
+    let journal = Filename.concat cs_dir "failed.journal" in
+    List.iter
+      (fun cmd ->
+        let args =
+          Printf.sprintf "%s 2+2w -n 50 --runs 2 --journal %s" cmd
+            (Filename.quote journal)
+        in
+        expect_fail ~grep:"Sec V-C" args;
+        check Alcotest.bool (cmd ^ ": no journal left") false
+          (Sys.file_exists journal);
+        let _, text = run_cli args in
+        if contains ~sub:"already exists" text then
+          Alcotest.failf "perple %s: rerun refused:\n%s" args text;
+        expect_fail ~grep:"Sec V-C" args)
+      [ "run"; "supervise" ]
+  end
+
 let test_bad_jobs () =
   expect_fail ~grep:"--jobs must be positive" "run sb -n 100 --jobs 0";
   expect_fail ~grep:"--runs must be positive" "run sb -n 100 --runs 0"
@@ -490,6 +514,8 @@ let suite =
           test_crash_suite_kill_resume_identical;
         Alcotest.test_case "crash-suite wrong config rejected" `Quick
           test_crash_suite_wrong_config_rejected;
+        Alcotest.test_case "failed campaign leaves no journal" `Quick
+          test_failed_campaign_leaves_no_journal;
         Alcotest.test_case "bad --runs/--jobs" `Quick test_bad_jobs;
         Alcotest.test_case "run cap note" `Quick test_run_cap_note;
         Alcotest.test_case "unknown test" `Quick test_unknown_test;
