@@ -32,6 +32,7 @@ module Ast = Perple_litmus.Ast
 module Outcome = Perple_litmus.Outcome
 module Generate = Perple_litmus.Generate
 module Operational = Perple_memmodel.Operational
+module Model = Perple_litmus.Model
 module Axiomatic = Perple_memmodel.Axiomatic
 module Solver = Perple_memmodel.Solver
 module Trace_check = Perple_core.Trace_check
@@ -75,7 +76,7 @@ let run_2k = prepared_run 2_000
 
 let verify_sb run =
   let v =
-    Trace_check.verify ~model:Operational.Tso (Lazy.force sb_conv)
+    Trace_check.verify ~model:Model.Tso (Lazy.force sb_conv)
       (Lazy.force run)
   in
   assert v.Solver.consistent;
@@ -99,7 +100,7 @@ let co_iriw =
 
 let verify_co_iriw () =
   let conv, run = Lazy.force co_iriw in
-  let v = Trace_check.verify ~model:Operational.Tso conv run in
+  let v = Trace_check.verify ~model:Model.Tso conv run in
   assert (v.Solver.consistent && v.Solver.decisions > 0);
   v
 
@@ -169,7 +170,7 @@ let micro_tests =
     (* Table II: deciding allowed/forbidden with the operational checker. *)
     Test.make ~name:"table2:classify-sb-tso"
       (Staged.stage (fun () ->
-           Operational.target_allowed Operational.Tso Catalog.sb));
+           Operational.target_allowed Model.Tso Catalog.sb));
     (* Fig 9: a perpetual run plus heuristic target counting, 1k iters. *)
     Test.make ~name:"fig9:perpetual-run+count-1k"
       (Staged.stage (fun () ->
@@ -266,7 +267,7 @@ let micro_tests =
     (* Solver backend: per-test classification next to table2's
        operational row, and whole-trace verification scaling. *)
     Test.make ~name:"solver:classify-sb-tso"
-      (Staged.stage (fun () -> Solver.target_allowed Operational.Tso Catalog.sb));
+      (Staged.stage (fun () -> Solver.target_allowed Model.Tso Catalog.sb));
     Test.make ~name:"solver:verify-trace-500ev"
       (Staged.stage (fun () -> verify_sb run_125));
     Test.make ~name:"solver:verify-trace-2kev"
@@ -438,11 +439,11 @@ let check_solver ?(generated_count = 1_000) () =
             "MISMATCH %s under %s:\n  operational: %s\n  axiomatic:   %s\n\
             \  solver:      %s\n  final condition: axiomatic=%b solver=%b\n%s\n"
             test.Ast.name
-            (Operational.model_to_string model)
+            (Model.to_string model)
             (show op) (show ax) (show sv) fc_ax fc_sv
             (Perple_litmus.Printer.to_string test)
         end)
-      [ Operational.Sc; Operational.Tso; Operational.Pso ]
+      Model.all
   in
   List.iter (fun (e : Catalog.entry) -> check_test e.Catalog.test) Catalog.suite;
   List.iter check_test Catalog.non_convertible;

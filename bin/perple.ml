@@ -13,6 +13,7 @@ module Printer = Perple_litmus.Printer
 module Outcome = Perple_litmus.Outcome
 module Catalog = Perple_litmus.Catalog
 module Operational = Perple_memmodel.Operational
+module Model = Perple_litmus.Model
 module Axiomatic = Perple_memmodel.Axiomatic
 module Solver = Perple_memmodel.Solver
 module Trace_check = Perple_core.Trace_check
@@ -212,6 +213,14 @@ let merge_journaled_metrics completed =
             (Perple_util.Metrics.merge_json sink m))
       completed (Ok ())
 
+(* SIGINT and SIGTERM end a command with the shell's codes, 130 and 143,
+   so scripts and the CI smoke jobs can tell a drain from a crash; [note]
+   first prints its message with the signal's word. *)
+let exit_on_signal signum note =
+  let interrupted = signum = Sys.sigint in
+  note (if interrupted then "interrupted" else "terminated");
+  Stdlib.exit (if interrupted then 130 else 143)
+
 (* While a journaled campaign runs, SIGINT/SIGTERM flush an interrupted
    marker (via the handler-safe {!Journal.try_append}) and point at
    --resume; completed runs are already on disk, fsync'd. *)
@@ -220,14 +229,14 @@ let with_journal_signals journal ~runs ~what ~journaled f =
   | Some (j, path) ->
     let handler signum =
       ignore (Journal.try_append j Ledger.interrupted_marker);
-      Printf.eprintf
-        "\n\
-         perple: interrupted: %d of %d %s journaled in %s\n\
-         perple: rerun the same command with --resume to finish the \
-         campaign\n\
-         %!"
-        !journaled runs what path;
-      Stdlib.exit (if signum = Sys.sigint then 130 else 143)
+      exit_on_signal signum (fun _ ->
+          Printf.eprintf
+            "\n\
+             perple: interrupted: %d of %d %s journaled in %s\n\
+             perple: rerun the same command with --resume to finish the \
+             campaign\n\
+             %!"
+            !journaled runs what path)
     in
     let old_int = Sys.signal Sys.sigint (Sys.Signal_handle handler) in
     let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle handler) in
@@ -393,7 +402,7 @@ let show_cmd =
         Printf.printf "\n%s\n" (Printer.summary test);
         (match
            ( test.Ast.condition.Ast.quantifier,
-             Operational.condition_verdict Operational.Tso test )
+             Operational.condition_verdict Model.Tso test )
          with
         | Ast.Forall, Ok holds ->
           Printf.printf "forall condition under x86-TSO: %s\n"
@@ -475,7 +484,7 @@ let check_cmd =
     let failures = ref 0 in
     List.iter
       (fun model ->
-        let name = Operational.model_to_string model in
+        let name = Model.to_string model in
         let op = Operational.reachable_outcomes model test in
         let ax = Axiomatic.reachable_outcomes model test in
         let sv = Solver.reachable_outcomes model test in
@@ -509,7 +518,7 @@ let check_cmd =
           Printf.printf "  final condition: axiomatic=%b solver=%b\n" fc_ax
             fc_sv
         end)
-      [ Operational.Sc; Operational.Tso; Operational.Pso ];
+      Model.all;
     if !failures = 0 then Ok ()
     else fail "%d model(s) with backend disagreement" !failures
   in
@@ -518,7 +527,7 @@ let check_cmd =
       (fun model ->
         let outcomes = reachable_with backend model test in
         Printf.printf "%s reachable outcomes (%s):\n"
-          (Operational.model_to_string model)
+          (Model.to_string model)
           (backend_name backend);
         List.iter
           (fun o -> Printf.printf "  %s\n" (Outcome.to_string o))
@@ -541,7 +550,7 @@ let check_cmd =
           Printf.printf "  axiomatic checker agrees: %b\n"
             (same_outcomes ax outcomes)
         end)
-      [ Operational.Sc; Operational.Tso; Operational.Pso ];
+      Model.all;
     Ok ()
   in
   let run spec backend crosscheck_flag =
@@ -724,13 +733,13 @@ let run_cmd =
     Printf.printf
       "trace verification against %s: %s (%d events, %d decisions, %d \
        backtracks)\n"
-      (Operational.model_to_string spec)
+      (Model.to_string spec)
       (if v.Solver.consistent then "consistent" else "VIOLATION")
       v.Solver.events v.Solver.decisions v.Solver.backtracks;
     if v.Solver.consistent then Ok ()
     else
       fail "trace violates %s: %s"
-        (Operational.model_to_string spec)
+        (Model.to_string spec)
         (Option.value ~default:"?" v.Solver.violation)
   in
   let run spec iterations seed counter model all_outcomes stress cap runs
@@ -1299,37 +1308,29 @@ let generate_cmd =
         | Error m -> fail "cannot realise cycle: %s" m
         | Ok test ->
           print_string (Printer.to_string test);
-          let p = Generate.predict cycle in
-          Printf.printf
-            "
-predicted target: SC %s, TSO %s, PSO %s (from cycle shape)
-"
-            (if p.Generate.sc then "allowed" else "forbidden")
-            (if p.Generate.tso then "allowed" else "forbidden")
-            (if p.Generate.pso then "allowed" else "forbidden");
-          (match Outcome.of_condition test with
-          | Ok _ ->
-            List.iter
-              (fun model ->
-                Printf.printf "checker verdict under %s: %s
-"
-                  (Operational.model_to_string model)
-                  (if Result.get_ok (Operational.target_allowed model test)
-                   then "allowed"
-                   else "forbidden"))
-              [ Operational.Sc; Operational.Tso; Operational.Pso ]
-          | Error _ ->
-            print_endline
-              "condition inspects final memory (Wse edge): not convertible \
-               to perpetual form; checker verdicts via the axiomatic model:";
-            List.iter
-              (fun model ->
-                Printf.printf "checker verdict under %s: %s
-"
-                  (Operational.model_to_string model)
-                  (if Axiomatic.condition_reachable model test then "allowed"
-                   else "forbidden"))
-              [ Operational.Sc; Operational.Tso; Operational.Pso ]);
+          let verdict allowed = if allowed then "allowed" else "forbidden" in
+          Printf.printf "\npredicted target: %s (from cycle shape)\n"
+            (String.concat ", "
+               (List.map
+                  (fun model ->
+                    Model.to_string model ^ " "
+                    ^ verdict (Generate.predict model cycle))
+                  Model.all));
+          let allowed =
+            match Outcome.of_condition test with
+            | Ok _ ->
+              fun model -> Result.get_ok (Operational.target_allowed model test)
+            | Error _ ->
+              print_endline
+                "condition inspects final memory (Wse edge): not convertible \
+                 to perpetual form; checker verdicts via the axiomatic model:";
+              fun model -> Axiomatic.condition_reachable model test
+          in
+          List.iter
+            (fun model ->
+              Printf.printf "checker verdict under %s: %s\n"
+                (Model.to_string model) (verdict (allowed model)))
+            Model.all;
           Ok ())
   in
   Cmd.v
@@ -1521,21 +1522,19 @@ let serve_cmd =
       with
       | Error m -> Error m
       | Ok signum ->
-        Printf.eprintf
-          "\nperpled: %s: drained, journal flushed\nperpled: resume with: \
-           perple serve --socket %s%s%s%s\n%!"
-          (if signum = Sys.sigint then "interrupted" else "terminated")
-          socket
-          (match journal with
-          | None -> ""
-          | Some path -> " --journal " ^ Filename.quote path)
-          (if jobs = 1 then "" else Printf.sprintf " --jobs %d" jobs)
-          (if coordinator = None then ""
-           else Printf.sprintf " --coordinator --shard-runs %d" shard_runs);
-        (* Exit the standard interrupted codes so scripts and the CI
-           smoke job can tell a drain from a crash; observability files
-           were already written by [with_observability]. *)
-        Stdlib.exit (if signum = Sys.sigint then 130 else 143)
+        (* observability files were already written by
+           [with_observability] *)
+        exit_on_signal signum (fun word ->
+            Printf.eprintf
+              "\nperpled: %s: drained, journal flushed\nperpled: resume \
+               with: perple serve --socket %s%s%s%s\n%!"
+              word socket
+              (match journal with
+              | None -> ""
+              | Some path -> " --journal " ^ Filename.quote path)
+              (if jobs = 1 then "" else Printf.sprintf " --jobs %d" jobs)
+              (if coordinator = None then ""
+               else Printf.sprintf " --coordinator --shard-runs %d" shard_runs))
     end
   in
   Cmd.v
@@ -1708,9 +1707,8 @@ let worker_cmd =
       with
       | Error m -> fail "worker %s: %s" name m
       | Ok signum ->
-        Printf.eprintf "perple worker %s: %s, stopping\n%!" name
-          (if signum = Sys.sigint then "interrupted" else "terminated");
-        Stdlib.exit (if signum = Sys.sigint then 130 else 143)
+        exit_on_signal signum
+          (Printf.eprintf "perple worker %s: %s, stopping\n%!" name)
     end
   in
   Cmd.v

@@ -16,6 +16,7 @@ module Parser = Perple_litmus.Parser
 module Printer = Perple_litmus.Printer
 module Outcome = Perple_litmus.Outcome
 module Operational = Perple_memmodel.Operational
+module Model = Perple_litmus.Model
 module Axiomatic = Perple_memmodel.Axiomatic
 module Convert = Perple_core.Convert
 module Codegen = Perple_core.Codegen
@@ -51,9 +52,9 @@ let () =
       let axiomatic = Axiomatic.condition_reachable model test in
       assert (operational = axiomatic);
       Printf.printf "target under %s: %s (checkers agree)\n"
-        (Operational.model_to_string model)
+        (Model.to_string model)
         (if operational then "allowed" else "forbidden"))
-    [ Operational.Sc; Operational.Tso ];
+    [ Model.Sc; Model.Tso ];
 
   (* Run the perpetual version; the target is forbidden under TSO, so the
      count must stay zero on the correct machine. *)

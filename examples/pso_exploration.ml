@@ -18,6 +18,7 @@ module Ast = Perple_litmus.Ast
 module Outcome = Perple_litmus.Outcome
 module Catalog = Perple_litmus.Catalog
 module Operational = Perple_memmodel.Operational
+module Model = Perple_litmus.Model
 module Config = Perple_sim.Config
 module Engine = Perple_core.Engine
 module Litmus7 = Perple_harness.Litmus7
@@ -33,10 +34,10 @@ let () =
       (fun (e : Catalog.entry) ->
         let test = e.Catalog.test in
         let tso =
-          Result.get_ok (Operational.target_allowed Operational.Tso test)
+          Result.get_ok (Operational.target_allowed Model.Tso test)
         in
         let pso =
-          Result.get_ok (Operational.target_allowed Operational.Pso test)
+          Result.get_ok (Operational.target_allowed Model.Pso test)
         in
         if pso && not tso then Some test else None)
       Catalog.suite

@@ -1,6 +1,6 @@
 module Ast = Perple_litmus.Ast
 module Config = Perple_sim.Config
-module Operational = Perple_memmodel.Operational
+module Model = Perple_litmus.Model
 module Solver = Perple_memmodel.Solver
 module Perpetual = Perple_harness.Perpetual
 module Machine = Perple_sim.Machine
@@ -15,12 +15,12 @@ module Program = Perple_sim.Program
    the operational enumerator's reach. *)
 
 let spec_model = function
-  | Config.Sc -> Operational.Sc
-  | Config.Tso -> Operational.Tso
-  | Config.Pso -> Operational.Pso
+  | Config.Sc -> Model.Sc
+  | Config.Tso -> Model.Tso
+  | Config.Pso -> Model.Pso
   (* The planted bugs are deviations from TSO; their traces are judged
      against the honest model, which is how the checker detects them. *)
-  | Config.Tso_store_reorder | Config.Tso_fence_ignored -> Operational.Tso
+  | Config.Tso_store_reorder | Config.Tso_fence_ignored -> Model.Tso
 
 exception Undecodable of string
 

@@ -10,11 +10,11 @@
     planted simulator bugs (their traces violate honest TSO). *)
 
 module Config := Perple_sim.Config
-module Operational := Perple_memmodel.Operational
+module Model := Perple_litmus.Model
 module Solver := Perple_memmodel.Solver
 module Perpetual := Perple_harness.Perpetual
 
-val spec_model : Config.model -> Operational.model
+val spec_model : Config.model -> Model.t
 (** The model a trace from this simulator configuration must satisfy.
     The buggy variants map to honest TSO: that is how their deviations
     are caught. *)
@@ -43,7 +43,7 @@ val trace_of_run :
     @raise Undecodable as {!execution}. *)
 
 val verify :
-  model:Operational.model -> Convert.t -> Perpetual.run -> Solver.verdict
+  model:Model.t -> Convert.t -> Perpetual.run -> Solver.verdict
 (** {!execution} checked by {!Solver.check}; an undecodable value is
     reported as an inconsistent verdict rather than raised.  A violation
     names its first stuck event by thread, iteration and event id.

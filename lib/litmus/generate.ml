@@ -1,6 +1,6 @@
 module Rng = Perple_util.Rng
 
-type direction = W | R
+type direction = Model.access = W | R
 
 type edge =
   | Pod of direction * direction
@@ -160,32 +160,26 @@ let of_cycle ~name cycle =
     (* The cycle is normalised, so the last edge is a comm edge and the
        wrap-around is a thread boundary, giving exactly [nthreads]
        threads. *)
-    (* Location classes: comm edges identify their endpoints' locations;
-       po edges (all Pod/Fenced here) separate them. *)
-    let next_loc = ref 0 in
-    let fresh_loc () =
-      let l = !next_loc in
-      incr next_loc;
-      l
-    in
+    (* Location classes: comm edges identify their endpoints' locations
+       (a union-find over the edges, so a class is merged whole); po edges
+       (all Pod/Fenced here) separate them, checked below. *)
+    let parent = Array.init n Fun.id in
+    let rec root i = if parent.(i) = i then i else root parent.(i) in
     Array.iteri
       (fun i e ->
-        let successor = events.((i + 1) mod n) in
-        match arr.(i) with
-        | Rfe | Fre | Wse ->
-          (* Same location on both sides. *)
-          let l =
-            if e.loc >= 0 then e.loc
-            else if successor.loc >= 0 then successor.loc
-            else fresh_loc ()
-          in
-          e.loc <- l;
-          successor.loc <- l
-        | Pod _ | Fenced _ ->
-          if e.loc < 0 then e.loc <- fresh_loc ())
+        if is_comm e then parent.(root i) <- root ((i + 1) mod n))
+      arr;
+    (* classes are numbered in order of their first event *)
+    let class_loc = Array.make n (-1) and next_loc = ref 0 in
+    Array.iteri
+      (fun i e ->
+        let r = root i in
+        if class_loc.(r) < 0 then begin
+          class_loc.(r) <- !next_loc;
+          incr next_loc
+        end;
+        e.loc <- class_loc.(r))
       events;
-    (* Second pass for any event still unassigned (po-successor only). *)
-    Array.iter (fun e -> if e.loc < 0 then e.loc <- fresh_loc ()) events;
     (* Check po edges connect different locations. *)
     let ok = ref (Ok ()) in
     Array.iteri
@@ -424,93 +418,40 @@ let of_cycle ~name cycle =
             (Format.asprintf "generated test invalid: %a" Ast.pp_error e)
       end)
 
-type prediction = { sc : bool; tso : bool; pso : bool }
-
 (* The cycle is forbidden under a model iff, in every thread segment, the
    segment's entry event reaches its exit event through ordering the model
-   preserves: consecutive program-order steps whose direction pair is not
-   relaxed, plus fence shortcuts (a fence orders every earlier access of
-   the thread with every later one).  A relaxed step can thus be bypassed
-   by a later fence, which a naive any-relaxable-edge test misses. *)
-let predict cycle =
-  let cycle = normalise cycle in
-  let arr = Array.of_list cycle in
-  let n = Array.length arr in
-  (* Per-thread segments: (direction, fence_after) lists. *)
-  let segments = ref [] in
-  let current = ref [] in
-  Array.iter
-    (fun e ->
-      let src, _ = endpoints e in
-      let fence_after = match e with Fenced _ -> true | _ -> false in
-      current := (src, fence_after) :: !current;
-      if is_comm e then begin
-        segments := List.rev !current :: !segments;
-        current := []
-      end)
-    arr;
-  ignore n;
-  let segments = List.rev !segments in
-  let preserved model a b =
-    match model with
-    | `Sc -> true
-    | `Tso -> not (a = W && b = R)
-    | `Pso -> not (a = W && (b = R || b = W))
+   preserves.  A fence anywhere in the segment orders the entry with every
+   later access, the exit included.  Without one, preserved program order
+   is pairwise, not generated by adjacent steps (W;R;W keeps the outer
+   W->W even where both adjacent steps are relaxed), so reachability is
+   its transitive closure.  Pairs are judged as different-location, as
+   the Pod edges between neighbours are. *)
+let predict model cycle =
+  let segments, _ =
+    List.fold_left
+      (fun (segments, current) e ->
+        let fenced = match e with Fenced _ -> true | _ -> false in
+        let current = (fst (endpoints e), fenced) :: current in
+        if is_comm e then (List.rev current :: segments, [])
+        else (segments, current))
+      ([], []) (normalise cycle)
   in
-  let segment_ordered model segment =
-    let events = Array.of_list segment in
-    let len = Array.length events in
-    if len <= 1 then true
-    else begin
-      (* Reachability from position 0 to position len-1. *)
-      let reach = Array.make len false in
-      reach.(0) <- true;
-      let fences =
-        List.filteri (fun k _ -> snd events.(k)) (List.init len Fun.id)
-      in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        for i = 0 to len - 2 do
-          if reach.(i) then begin
-            let di, _ = events.(i) in
-            (* Preserved program order is pairwise (ppo), not generated by
-               adjacent steps: W;R;W preserves the outer W->W even though
-               both adjacent steps are relaxable.  hb is then the
-               transitive closure, which this fixpoint computes. *)
-            for j = i + 1 to len - 1 do
-              let dj, _ = events.(j) in
-              if preserved model di dj && not reach.(j) then begin
-                reach.(j) <- true;
-                changed := true
-              end
-            done;
-            (* A fence at position k orders every access at or before k
-               with every access after it. *)
-            List.iter
-              (fun k ->
-                if k >= i then
-                  for j = k + 1 to len - 1 do
-                    if not reach.(j) then begin
-                      reach.(j) <- true;
-                      changed := true
-                    end
-                  done)
-              fences
-          end
-        done
-      done;
-      reach.(len - 1)
-    end
+  let ordered segment =
+    List.exists snd segment
+    ||
+    let dirs = Array.of_list (List.map fst segment) in
+    let len = Array.length dirs in
+    let reach = Array.make len false in
+    reach.(0) <- true;
+    for j = 1 to len - 1 do
+      for i = 0 to j - 1 do
+        if reach.(i) && Model.preserved model dirs.(i) dirs.(j) ~same_loc:false
+        then reach.(j) <- true
+      done
+    done;
+    reach.(len - 1)
   in
-  let forbidden model =
-    List.for_all (segment_ordered model) segments
-  in
-  {
-    sc = not (forbidden `Sc);
-    tso = not (forbidden `Tso);
-    pso = not (forbidden `Pso);
-  }
+  not (List.for_all ordered segments)
 
 let random_cycle rng ~max_edges =
   let max_edges = max 4 max_edges in

@@ -10,13 +10,11 @@
     then being a happens-before cycle), and allowed as soon as one edge is
     relaxable.
 
-    This module reproduces that construction for the models at hand:
-
-    - [Pod (W, R)] is relaxable under TSO and PSO (store buffering);
-    - [Pod (W, W)] is additionally relaxable under PSO;
-    - [Fenced] edges are never relaxable;
-    - communication edges ([Rfe], [Fre], [Wse]) are never relaxable here
-      (single-copy-atomic substrate).
+    This module reproduces that construction for the models of
+    {!Model}: a [Pod] step is relaxable exactly when {!Model.preserved}
+    drops it, [Fenced] edges are never relaxable, and communication edges
+    ([Rfe], [Fre], [Wse]) never are either (single-copy-atomic
+    substrate).
 
     Example: [PodWR Fre PodWR Fre] is the sb test; [PodWW Rfe PodRR Fre]
     is mp; [Wse] edges yield final-memory conditions and therefore
@@ -25,7 +23,7 @@
     The generator's prediction is cross-validated against the
     {!Perple_memmodel} checkers by the test suite. *)
 
-type direction = W | R
+type direction = Model.access = W | R
 
 type edge =
   | Pod of direction * direction
@@ -52,12 +50,11 @@ val of_cycle : name:string -> edge list -> (Ast.t, string) result
     communication edges, more threads or events than the instruction set
     supports, or location constraints that cannot be satisfied. *)
 
-type prediction = { sc : bool; tso : bool; pso : bool }
-(** Whether the target outcome is {e allowed} under each model. *)
-
-val predict : edge list -> prediction
-(** From cycle shape alone: allowed iff some program-order edge of the
-    cycle is relaxable under the model. *)
+val predict : Model.t -> edge list -> bool
+(** Whether the target outcome is {e allowed} under the model, from cycle
+    shape alone: allowed iff in some thread neither {!Model.preserved}
+    program order nor a fence orders the entry event before the exit
+    event. *)
 
 val well_formed : edge list -> (unit, string) result
 

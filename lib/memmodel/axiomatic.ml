@@ -1,22 +1,7 @@
 module Ast = Perple_litmus.Ast
 module Outcome = Perple_litmus.Outcome
-
-(* Event extraction is shared with the {!Solver} backend. *)
-type kind = Event_graph.kind =
-  | Write of string * int
-  | Read of int * string  (* register, location *)
-  | Fence
-  | Flush of string
-
-type event = Event_graph.event = {
-  id : int;
-  thread : int;
-  po : int;
-  kind : kind;
-}
-
-let events_of_test = Event_graph.events_of_test
-let location = Event_graph.location
+module Model = Perple_litmus.Model
+open Event_graph
 
 (* A candidate execution: for each read, an rf source (Some write event or
    None for the initial value); for each location, a coherence order over
@@ -38,8 +23,8 @@ let permutations list =
 
 let candidates test =
   let events = events_of_test test in
-  let writes_to x = Event_graph.writes_to events x in
-  let reads = Event_graph.reads events in
+  let writes_to x = writes_to events x in
+  let reads = reads events in
   let rf_choices =
     List.map
       (fun e ->
@@ -89,8 +74,7 @@ let rf_edges candidate =
 
 (* fr: a read r with source s precedes every write ws-after s; a read from
    the initial value precedes every write to its location. *)
-let fr_edges test candidate events =
-  ignore test;
+let fr_edges candidate events =
   List.concat_map
     (fun (read_id, src) ->
       let read = List.find (fun e -> e.id = read_id) events in
@@ -109,14 +93,16 @@ let fr_edges test candidate events =
       List.map (fun w -> (read_id, w.id)) later)
     candidate.rf
 
-let po_pairs = Event_graph.po_pairs
-let acyclic = Event_graph.acyclic
+let access e = if is_write e then Model.W else Model.R
 
-let valid model test ~events candidate =
+(* Uniproc, then the model axiom: acyclicity of
+   [ppo ∪ rfe ∪ ws ∪ fr], where ppo keeps the program-order pairs of
+   memory events that {!Model.preserved} keeps or a fence separates. *)
+let valid model ~events candidate =
   let n = List.length events in
   let ws = ws_edges candidate in
   let rf = rf_edges candidate in
-  let fr = fr_edges test candidate events in
+  let fr = fr_edges candidate events in
   let po = po_pairs events in
   let po_loc =
     List.filter_map
@@ -126,64 +112,35 @@ let valid model test ~events candidate =
         | _ -> None)
       po
   in
-  let uniproc = acyclic (po_loc @ ws @ rf @ fr) n in
-  uniproc
-  &&
-  match (model : Operational.model) with
-  | Operational.Sc ->
-    let po_ids = List.map (fun (a, b) -> (a.id, b.id)) po in
-    acyclic (po_ids @ ws @ rf @ fr) n
-  | (Operational.Tso | Operational.Pso) as weak ->
-    let is_write e = match e.kind with Write _ -> true | _ -> false in
-    let is_read e = match e.kind with Read _ -> true | _ -> false in
-    let is_mem e = is_write e || is_read e in
-    let ppo =
-      List.filter_map
-        (fun (a, b) ->
-          let relaxed =
-            (is_write a && is_read b)
-            || (weak = Operational.Pso && is_write a && is_write b
-                && location a.kind <> location b.kind)
-          in
-          if is_mem a && is_mem b && not relaxed then Some (a.id, b.id)
-          else None)
-        po
-    in
-    (* a -> fence -> b in program order restores all ordering. *)
-    let fenced =
-      List.concat_map
-        (fun fence ->
-          if fence.kind <> Fence then []
-          else begin
-            let before =
-              List.filter
-                (fun e ->
-                  e.thread = fence.thread && e.po < fence.po && is_mem e)
-                events
-            in
-            let after =
-              List.filter
-                (fun e ->
-                  e.thread = fence.thread && e.po > fence.po && is_mem e)
-                events
-            in
-            List.concat_map
-              (fun a -> List.map (fun b -> (a.id, b.id)) after)
-              before
-          end)
-        events
-    in
-    let rfe =
-      List.filter_map
-        (fun (read_id, src) ->
-          match src with
-          | Some w ->
-            let read = List.find (fun e -> e.id = read_id) events in
-            if w.thread <> read.thread then Some (w.id, read_id) else None
-          | None -> None)
-        candidate.rf
-    in
-    acyclic (ppo @ fenced @ rfe @ ws @ fr) n
+  let fence_between a b =
+    List.exists
+      (fun f ->
+        is_fence f && f.thread = a.thread && a.po < f.po && f.po < b.po)
+      events
+  in
+  let ppo =
+    List.filter_map
+      (fun (a, b) ->
+        if
+          is_mem a && is_mem b
+          && (Model.preserved model (access a) (access b)
+                ~same_loc:(location a.kind = location b.kind)
+             || fence_between a b)
+        then Some (a.id, b.id)
+        else None)
+      po
+  in
+  let rfe =
+    List.filter_map
+      (fun (read_id, src) ->
+        match src with
+        | Some w ->
+          let read = List.find (fun e -> e.id = read_id) events in
+          if w.thread <> read.thread then Some (w.id, read_id) else None
+        | None -> None)
+      candidate.rf
+  in
+  acyclic (po_loc @ ws @ rf @ fr) n && acyclic (ppo @ rfe @ ws @ fr) n
 
 let read_value test candidate read =
   let x = Option.get (location read.kind) in
@@ -217,7 +174,7 @@ let reachable_outcomes model test =
   let outcomes =
     List.filter_map
       (fun c ->
-        if valid model test ~events c then Some (outcome_of_candidate test c)
+        if valid model ~events c then Some (outcome_of_candidate test c)
         else None)
       (candidates test)
   in
@@ -244,5 +201,5 @@ let condition_satisfied test candidate =
 let condition_reachable model test =
   let events = events_of_test test in
   List.exists
-    (fun c -> valid model test ~events c && condition_satisfied test c)
+    (fun c -> valid model ~events c && condition_satisfied test c)
     (candidates test)

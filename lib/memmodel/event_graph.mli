@@ -22,7 +22,8 @@ val events_of_test : Ast.t -> event list
 (** All instructions as events, ids dense from 0 in (thread, po) order. *)
 
 val location : kind -> string option
-(** The location a memory or flush event touches; [None] for fences. *)
+(** The location a memory event touches; [None] for fences and
+    flushes. *)
 
 val is_write : event -> bool
 val is_read : event -> bool

@@ -1,9 +1,6 @@
 module Ast = Perple_litmus.Ast
 module Outcome = Perple_litmus.Outcome
-
-type model = Sc | Tso | Pso
-
-let model_to_string = function Sc -> "SC" | Tso -> "TSO" | Pso -> "PSO"
+module Model = Perple_litmus.Model
 
 (* Immutable machine state; used directly as a memoisation key.  Buffers
    are oldest-first; memory and registers are sorted association lists so
@@ -58,7 +55,7 @@ let successors model test state =
       let bump () = list_set t (pc + 1) state.pcs in
       match program.(pc) with
       | Ast.Store (x, a) -> (
-        match model with
+        match (model : Model.t) with
         | Sc ->
           add
             {

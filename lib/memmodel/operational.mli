@@ -14,36 +14,37 @@
     {e per location}, so same-thread stores to different locations can take
     effect out of program order — [mp]'s target becomes allowed.  Tests are
     tiny, so exhaustive enumeration with state memoisation terminates
-    quickly. *)
+    quickly.
+
+    The machines do not read {!Perple_litmus.Model.preserved}, which
+    {!Axiomatic} and {!Solver} are built from: they are the independent
+    oracle the tests hold that table to. *)
 
 module Ast := Perple_litmus.Ast
 module Outcome := Perple_litmus.Outcome
+module Model := Perple_litmus.Model
 
-type model = Sc | Tso | Pso
-
-val model_to_string : model -> string
-
-val reachable_outcomes : model -> Ast.t -> Outcome.t list
+val reachable_outcomes : Model.t -> Ast.t -> Outcome.t list
 (** All outcomes some complete execution of the test can produce, sorted.
     Uses {!Perple_litmus} outcome conventions: one binding per load. *)
 
-val condition_reachable : model -> Ast.t -> partial:Outcome.t -> bool
+val condition_reachable : Model.t -> Ast.t -> partial:Outcome.t -> bool
 (** Is some reachable outcome consistent with the partial outcome? *)
 
-val condition_always : model -> Ast.t -> partial:Outcome.t -> bool
+val condition_always : Model.t -> Ast.t -> partial:Outcome.t -> bool
 (** Does {e every} reachable outcome satisfy the partial outcome?  The
     semantics of litmus7's [forall] conditions. *)
 
-val condition_verdict : model -> Ast.t -> (bool, string) result
+val condition_verdict : Model.t -> Ast.t -> (bool, string) result
 (** The test's own condition under its quantifier: [exists] (and
     [~exists], whose truth is the negation reported by the caller) checks
     reachability; [forall] checks universality.  [Error] when the condition
     mentions shared locations. *)
 
-val target_allowed : model -> Ast.t -> (bool, string) result
+val target_allowed : Model.t -> Ast.t -> (bool, string) result
 (** Whether the test's own final condition (as a partial outcome) is
     reachable; [Error] if the condition is not expressible over registers. *)
 
-val state_count : model -> Ast.t -> int
+val state_count : Model.t -> Ast.t -> int
 (** Number of distinct abstract-machine states explored; exposed for tests
     and for the simulator documentation. *)

@@ -1,5 +1,6 @@
 module Ast = Perple_litmus.Ast
 module Outcome = Perple_litmus.Outcome
+module Model = Perple_litmus.Model
 module E = Event_graph
 
 (* A constraint formulation of the axiomatic model (see docs/internals.md,
@@ -152,14 +153,14 @@ let coherence_scan ex ~writer ~label =
   with Shape m -> Some m
 
 (* The model axiom when every location has one writer thread.  Each thread
-   splits into program-order chains whose consecutive events the model
-   graph orders — SC: one; TSO: reads and fences, and writes; PSO: reads
-   and fences, and the writes of each location — and every other static
-   edge of the graph ([static_edges] below) into a chain head is one of
-   three conditions:
+   splits into the program-order chains of {!Model.chain_count}, whose
+   consecutive events the model graph orders, and every other static edge
+   of the graph ([static_edges] below) into a chain head is one of three
+   conditions:
    - a ppo or fence edge from another chain of its thread: that chain's
-     cursor has passed the head (a write waits for the po-earlier reads
-     and fences, a TSO/PSO fence for the po-earlier writes);
+     cursor has passed the head (a write outside chain 0 waits for the
+     po-earlier reads and fences, a fence for the po-earlier writes of
+     every write chain);
    - rfe: the read's source write is done;
    - fr: a write waits until no reader of its predecessor write (or of
      the initial value, for a first write) is still pending.
@@ -167,26 +168,21 @@ let coherence_scan ex ~writer ~label =
    so advancing is a topological sort.  A sweep over all chains that
    advances nothing leaves every remaining head waiting on another, which
    is a cycle.  Worst case O(events × chains); beyond small per-thread
-   tables, the only event-sized state is two int arrays: chain successors
-   and pending-reader counts. *)
-let chain_sweep ~(model : Operational.model) ex ~label =
+   and per-location tables, the only event-sized state is two int arrays:
+   chain successors and pending-reader counts. *)
+let chain_sweep ~model ex ~label =
   let kind = ex.kind and loc = ex.loc and rf = ex.rf in
   let ts = ex.thread_start in
   let n = Array.length kind and nlocs = Array.length ex.locations in
   let nthreads = Array.length ts - 1 in
-  let k =
-    match model with
-    | Operational.Sc -> 1
-    | Operational.Tso -> 2
-    | Operational.Pso -> 1 + nlocs
-  in
-  (* an event's chain within its thread; TSO/PSO flushes are in none *)
+  let k = Model.chain_count model ~nlocs in
+  let wchain = Array.init nlocs (fun loc -> Model.write_chain model ~loc) in
+  (* an event's chain within its thread; flushes are in none *)
   let lane id =
-    match (model, kind.(id)) with
-    | Operational.Sc, _ | _, (Read | Fence) -> 0
-    | _, Flush -> -1
-    | Operational.Tso, Write -> 1
-    | Operational.Pso, Write -> 1 + loc.(id)
+    match kind.(id) with
+    | Read | Fence -> 0
+    | Write -> wchain.(loc.(id))
+    | Flush -> -1
   in
   (* [cur.(t * k + j)]: the head of chain [j] of thread [t], or the
      thread's end once the chain is done; [next]: an event's successor in
@@ -212,21 +208,17 @@ let chain_sweep ~(model : Operational.model) ex ~label =
   done;
   (* per (thread, location): the last done write, -1 before the first *)
   let last_write = Array.make (nthreads * nlocs) (-1) in
-  let sc = model = Operational.Sc in
   (* the po-earlier events of the thread's other chains are done *)
   let po_done t h =
     let base = t * k in
     match kind.(h) with
-    | Write -> sc || cur.(base) > h
-    | Fence -> (
-      match model with
-      | Operational.Sc -> true
-      | Operational.Tso -> cur.(base + 1) > h
-      | Operational.Pso ->
-        let rec done_from y =
-          y = nlocs || (cur.(base + 1 + y) > h && done_from (y + 1))
-        in
-        done_from 0)
+    | Write -> wchain.(loc.(h)) = 0 || cur.(base) > h
+    | Fence ->
+      let c = ref 1 in
+      while !c < k && cur.(base + !c) > h do
+        incr c
+      done;
+      !c = k
     | Read | Flush -> true
   in
   (* the write [h] of thread [t]: no read of the value it overwrites is
@@ -293,8 +285,7 @@ let chain_sweep ~(model : Operational.model) ex ~label =
     in
     Some
       (Printf.sprintf "cycle in %s graph: %s (%s) waits for %s"
-         (Operational.model_to_string model)
-         (label h) what why)
+         (Model.to_string model) (label h) what why)
   end
 
 (* ---------- graphs (search and reference) ---------- *)
@@ -352,32 +343,34 @@ type graph = {
 
 (* Static edges of both graphs in one scan, emitted only up to transitive
    closure (all that acyclicity and reachability observe).  Uniproc:
-   po-loc chains, rf, fr.  Model graph: po (SC) or reduced ppo ∪ fenced
-   chains (TSO/PSO: reads and fences in order, writes in order — per
-   location under PSO — and every read or fence before the next write),
-   rfe (all of rf under SC), and the same fr.  fr is materialized as far
-   as [rf] alone forces it: to the source's po-next same-location write,
-   or, from the initial value, to every thread's first write of the
-   location. *)
-let static_edges ~(model : Operational.model) ex ~next_write ~first_write
-    ~extra ~uni ~mg =
+   po-loc chains, rf, fr.  Model graph: the {!Model.chain_count} chains of
+   each thread, every read or fence before the next event of each chain,
+   every write outside chain 0 before the next fence, rfe, and the same
+   fr.  (rfi is left out: uniproc already orders it along program order,
+   which a chain covers whenever the model keeps W→R.)  fr is
+   materialized as far as [rf] alone forces it: to the source's po-next
+   same-location write, or, from the initial value, to every thread's
+   first write of the location. *)
+let static_edges ~model ex ~next_write ~first_write ~extra ~uni ~mg =
   let nlocs = Array.length ex.locations in
   let nthreads = Array.length ex.thread_start - 1 in
+  let k = Model.chain_count model ~nlocs in
+  let wchain = Array.init nlocs (fun loc -> Model.write_chain model ~loc) in
   let next_loc = Array.make nlocs (-1) in  (* next located event *)
-  let next_wloc = Array.make nlocs (-1) in  (* next write (PSO) *)
+  let next_chain = Array.make k (-1) in  (* next event of each chain *)
   for t = 0 to nthreads - 1 do
     let lo = ex.thread_start.(t) and hi = ex.thread_start.(t + 1) in
     Array.fill next_loc 0 nlocs (-1);
-    Array.fill next_wloc 0 nlocs (-1);
-    let next_rf = ref (-1) and next_w = ref (-1) and next_f = ref (-1) in
+    Array.fill next_chain 0 k (-1);
+    let next_f = ref (-1) in
     for id = hi - 1 downto lo do
       let x = ex.loc.(id) in
-      let k = ex.kind.(id) in
-      if k = Read then begin
+      let kd = ex.kind.(id) in
+      if kd = Read then begin
         let w = ex.rf.(id) in
         if w >= 0 then begin
           add uni w id;
-          if model = Operational.Sc || w < lo || w >= hi then add mg w id;
+          if w < lo || w >= hi then add mg w id;
           let w' = next_write.(w) in
           if w' >= 0 then begin
             add uni id w';
@@ -393,33 +386,23 @@ let static_edges ~(model : Operational.model) ex ~next_write ~first_write
             end
           done
       end;
-      if k <> Fence then begin
+      if kd <> Fence then begin
         add_to uni id next_loc.(x);
         next_loc.(x) <- id
       end;
-      match (model, k) with
-      | Operational.Sc, _ -> if id + 1 < hi then add mg id (id + 1)
-      | _, Flush -> ()  (* not a memory event under TSO/PSO *)
-      | Operational.Tso, (Read | Fence) ->
-        add_to mg id !next_rf;
-        add_to mg id !next_w;
-        next_rf := id;
-        if k = Fence then next_f := id
-      | Operational.Tso, Write ->
-        add_to mg id !next_w;
-        add_to mg id !next_f;
-        next_w := id
-      | Operational.Pso, (Read | Fence) ->
-        add_to mg id !next_rf;
-        for y = 0 to nlocs - 1 do
-          add_to mg id next_wloc.(y)
+      match kd with
+      | Flush -> ()  (* not a memory event *)
+      | Read | Fence ->
+        for c = 0 to k - 1 do
+          add_to mg id next_chain.(c)
         done;
-        next_rf := id;
-        if k = Fence then next_f := id
-      | Operational.Pso, Write ->
-        add_to mg id next_wloc.(x);
-        add_to mg id !next_f;
-        next_wloc.(x) <- id
+        next_chain.(0) <- id;
+        if kd = Fence then next_f := id
+      | Write ->
+        let c = wchain.(x) in
+        add_to mg id next_chain.(c);
+        if c <> 0 then add_to mg id !next_f;
+        next_chain.(c) <- id
     done
   done;
   List.iter
@@ -685,7 +668,7 @@ let rec solve st =
 
 (* ---------- static construction ---------- *)
 
-let build ~(model : Operational.model) ex ~extra ~label =
+let build ~model ex ~extra ~label =
   let n = Array.length ex.kind in
   let nlocs = Array.length ex.locations in
   let nthreads = Array.length ex.thread_start - 1 in
@@ -765,7 +748,7 @@ let build ~(model : Operational.model) ex ~extra ~label =
   {
     n;
     uni = graph "uniproc" uni;
-    mg = graph (Operational.model_to_string model) mg;
+    mg = graph (Model.to_string model) mg;
     merges;
     nchains;
     chain_of;

@@ -5,8 +5,9 @@
     execution is a {e constraint problem}: the reads-from source of every
     load and the coherence order of every location are variables, and
     validity is acyclicity of two graphs — uniproc [po-loc ∪ rf ∪ ws ∪ fr]
-    and the per-model graph ([po] for SC, the reduced [ppo ∪ fenced ∪ rfe]
-    chains for TSO/PSO).  When every location has one writer thread, the
+    and the model graph [ppo ∪ fenced ∪ rfe ∪ ws ∪ fr], with [ppo] as the
+    per-thread chains of {!Perple_litmus.Model.chain_count}.  When every
+    location has one writer thread, the
     coherence orders are fixed by program order and no graph is built:
     uniproc is one coherence-shape scan and the model axiom a sweep over
     per-thread program-order chains.  Otherwise both graphs are maintained
@@ -23,39 +24,40 @@
 
 module Ast := Perple_litmus.Ast
 module Outcome := Perple_litmus.Outcome
+module Model := Perple_litmus.Model
 
 (** {1 Litmus-test interface}
 
     Mirrors {!Operational} and {!Axiomatic}; the test suite checks
     three-way agreement on the catalog and on generated tests. *)
 
-val reachable_outcomes : Operational.model -> Ast.t -> Outcome.t list
+val reachable_outcomes : Model.t -> Ast.t -> Outcome.t list
 (** All register outcomes of valid executions, sorted; {!Operational} and
     {!Axiomatic} conventions (one binding per load). *)
 
-val condition_reachable : Operational.model -> Ast.t -> partial:Outcome.t -> bool
+val condition_reachable : Model.t -> Ast.t -> partial:Outcome.t -> bool
 (** Is some valid execution consistent with the partial outcome? *)
 
-val condition_always : Operational.model -> Ast.t -> partial:Outcome.t -> bool
+val condition_always : Model.t -> Ast.t -> partial:Outcome.t -> bool
 (** Does every valid execution satisfy the partial outcome ([forall])? *)
 
-val condition_verdict : Operational.model -> Ast.t -> (bool, string) result
+val condition_verdict : Model.t -> Ast.t -> (bool, string) result
 (** The test's own condition under its quantifier.  Unlike
     {!Operational.condition_verdict}, [exists] conditions over shared
     locations ([Loc_eq]) are decided (the coherence-maximal write is a
     solver constraint); [forall] over locations remains an [Error]. *)
 
-val target_allowed : Operational.model -> Ast.t -> (bool, string) result
+val target_allowed : Model.t -> Ast.t -> (bool, string) result
 (** Whether the test's own final condition (as a partial outcome) is
     reachable; [Error] if not expressible over registers — the exact
     contract of {!Operational.target_allowed}. *)
 
-val final_condition_reachable : Operational.model -> Ast.t -> bool
+val final_condition_reachable : Model.t -> Ast.t -> bool
 (** Whether some valid execution satisfies the test's own final condition
     including [Loc_eq] atoms — the contract of
     {!Axiomatic.condition_reachable}. *)
 
-val classify : Operational.model -> Ast.t -> Outcome.t -> bool
+val classify : Model.t -> Ast.t -> Outcome.t -> bool
 (** Whether the exact outcome is reachable — the per-outcome
     classification the report layer applies to observed outcomes. *)
 
@@ -92,21 +94,21 @@ type execution = {
     without boxing an event. *)
 
 val check :
-  ?label:(int -> string) -> Operational.model -> execution -> verdict
+  ?label:(int -> string) -> Model.t -> execution -> verdict
 (** Verify one concrete execution against the model's axioms.  Only the
     coherence orders are solved for.  When no location has writers on
     more than one thread, they are forced, and the check is linear with
     no graph: a coherence scan for uniproc (CoRR, CoWR and CoRW shapes),
-    then a sweep advancing per-thread program-order chains (SC: one; TSO:
-    reads and fences, writes; PSO: reads and fences, writes per location)
-    while their rfe, fr and cross-chain ppo sources are done.  Otherwise
+    then a sweep advancing the per-thread chains of
+    {!Perple_litmus.Model.chain_count} while their rfe, fr and
+    cross-chain ppo sources are done.  Otherwise
     the CSR graphs of {!check_graphs} are searched.  [label] names an
     event id in the violation (default ["thread T event ID"]).
 
     @raise Invalid_argument if a read's source is not a same-location
     write. *)
 
-val check_graphs : Operational.model -> execution -> verdict
+val check_graphs : Model.t -> execution -> verdict
 (** {!check} through the graph path for every execution: both graphs as
     CSR arrays, Kahn passes and, for multi-writer locations, the coherence
     search.  The reference the tests hold {!check}'s single-writer path
@@ -124,7 +126,7 @@ type trace_event =
           program order, then thread 1, … *)
   | T_fence
 
-val classify_trace : Operational.model -> trace_event array array -> verdict
+val classify_trace : Model.t -> trace_event array array -> verdict
 (** {!check} on a boxed trace: [threads.(t)] lists thread [t]'s events in
     program order; reads carry their decoded reads-from source.
 

@@ -7,6 +7,7 @@ module Count = Perple_core.Count
 module Perpetual = Perple_harness.Perpetual
 module Litmus7 = Perple_harness.Litmus7
 module Operational = Perple_memmodel.Operational
+module Model = Perple_litmus.Model
 module Rng = Perple_util.Rng
 module Table = Perple_util.Table
 
@@ -21,7 +22,7 @@ let variety (params : Common.params) test_name =
   let test = Catalog.find_exn test_name in
   let outcomes = Outcome.all test in
   let iterations = params.Common.variety_iterations in
-  let reachable = Operational.reachable_outcomes Operational.Tso test in
+  let reachable = Operational.reachable_outcomes Model.Tso test in
   let forbidden =
     List.map
       (fun o -> not (List.exists (Outcome.equal o) reachable))

@@ -1,6 +1,7 @@
 module Ast = Perple_litmus.Ast
 module Catalog = Perple_litmus.Catalog
 module Operational = Perple_memmodel.Operational
+module Model = Perple_litmus.Model
 module Axiomatic = Perple_memmodel.Axiomatic
 module Table = Perple_util.Table
 
@@ -20,13 +21,13 @@ let rows () =
     (fun (e : Catalog.entry) ->
       let test = e.Catalog.test in
       let allowed_tso =
-        Result.get_ok (Operational.target_allowed Operational.Tso test)
+        Result.get_ok (Operational.target_allowed Model.Tso test)
       in
       let allowed_axiomatic =
-        Axiomatic.condition_reachable Operational.Tso test
+        Axiomatic.condition_reachable Model.Tso test
       in
       let allowed_pso =
-        Result.get_ok (Operational.target_allowed Operational.Pso test)
+        Result.get_ok (Operational.target_allowed Model.Pso test)
       in
       let expected = e.Catalog.classification = Catalog.Allowed in
       {

@@ -4,6 +4,7 @@ module Convert = Perple_core.Convert
 module Trace_check = Perple_core.Trace_check
 module Solver = Perple_memmodel.Solver
 module Operational = Perple_memmodel.Operational
+module Model = Perple_litmus.Model
 module Perpetual = Perple_harness.Perpetual
 module Rng = Perple_util.Rng
 module Table = Perple_util.Table
@@ -66,7 +67,7 @@ let render params =
       in
       Table.add_row table
         (Config.model_name config
-        :: Operational.model_to_string (Trace_check.spec_model config)
+        :: Model.to_string (Trace_check.spec_model config)
         :: List.map
              (fun c ->
                if c.verdict.Solver.consistent then

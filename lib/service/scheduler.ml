@@ -511,5 +511,3 @@ let shutdown_pool t =
 let close t =
   close_journal t;
   shutdown_pool t
-
-let abandon = close

@@ -28,7 +28,7 @@ val create : ?jobs:int -> journal:string option -> unit -> (t, string) result
     command or fail validation.  [journal = None] runs in-memory
     (tests).  With [jobs > 1] a persistent {!Perple_core.Pool} is
     spawned once here and reused by every {!execute} call of every
-    campaign (joined by {!close}/{!abandon}) — no domain is spawned per
+    campaign (joined by {!close}) — no domain is spawned per
     claim. *)
 
 type resolved = {
@@ -126,11 +126,6 @@ val execute : t -> campaign:string -> indices:int list -> unit
 val note_draining : t -> unit
 (** Append a ["draining"] marker — the serve-side analogue of the CLI's
     interrupted marker, written during signal shutdown. *)
-
-val abandon : t -> unit
-(** Close the journal descriptor {e without} draining — test hook that
-    simulates [kill -9] for the sans-IO crash-equivalence suite.  The
-    worker pool (process-local, not crash state) is still joined. *)
 
 val close : t -> unit
 (** Close the journal and join the worker pool. *)

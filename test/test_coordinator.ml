@@ -485,7 +485,7 @@ let test_coordinator_kill_resume_epochs () =
   let l1 = Option.get (lease_of_commands cmds ~worker:1) in
   check Alcotest.int "first lease epoch" 1 l1.lv_epoch;
   (* kill -9: nothing drains, the journal is all that survives. *)
-  Scheduler.abandon sched1;
+  Scheduler.close sched1;
   let sched2 = Result.get_ok (Scheduler.create ~journal:(Some path) ()) in
   let co2 =
     Result.get_ok

@@ -14,6 +14,7 @@ module Engine = Perple_core.Engine
 module Perpetual = Perple_harness.Perpetual
 module Config = Perple_sim.Config
 module Operational = Perple_memmodel.Operational
+module Model = Perple_litmus.Model
 module Rng = Perple_util.Rng
 
 let check = Alcotest.check
@@ -414,7 +415,7 @@ let no_false_positive_property =
       | Error _ -> true (* not convertible; nothing to check *)
       | Ok conv ->
         let reachable =
-          Operational.reachable_outcomes Operational.Tso test
+          Operational.reachable_outcomes Model.Tso test
         in
         let forbidden =
           List.filter

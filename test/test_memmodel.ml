@@ -7,6 +7,7 @@ module Ast = Perple_litmus.Ast
 module Outcome = Perple_litmus.Outcome
 module Catalog = Perple_litmus.Catalog
 module Operational = Perple_memmodel.Operational
+module Model = Perple_litmus.Model
 module Axiomatic = Perple_memmodel.Axiomatic
 
 let check = Alcotest.check
@@ -21,37 +22,37 @@ let test_sb_outcomes () =
   check
     (Alcotest.list Alcotest.string)
     "SC excludes 00" [ "01"; "10"; "11" ]
-    (labels (outcome_set Operational.Sc Catalog.sb));
+    (labels (outcome_set Model.Sc Catalog.sb));
   check
     (Alcotest.list Alcotest.string)
     "TSO allows all four" [ "00"; "01"; "10"; "11" ]
-    (labels (outcome_set Operational.Tso Catalog.sb))
+    (labels (outcome_set Model.Tso Catalog.sb))
 
 let test_lb_outcomes () =
   let lb = Catalog.lb in
   check
     (Alcotest.list Alcotest.string)
     "TSO forbids 11" [ "00"; "01"; "10" ]
-    (labels (outcome_set Operational.Tso lb));
+    (labels (outcome_set Model.Tso lb));
   check
     (Alcotest.list Alcotest.string)
     "SC same for lb" [ "00"; "01"; "10" ]
-    (labels (outcome_set Operational.Sc lb))
+    (labels (outcome_set Model.Sc lb))
 
 let test_mp_outcomes () =
   check
     (Alcotest.list Alcotest.string)
     "TSO forbids 10" [ "00"; "01"; "11" ]
-    (labels (outcome_set Operational.Tso Catalog.mp))
+    (labels (outcome_set Model.Tso Catalog.mp))
 
 let test_forwarding_tso_only () =
   (* amd3's target needs store forwarding: reachable under TSO only. *)
   let amd3 = Catalog.find_exn "amd3" in
   let target = Result.get_ok (Outcome.of_condition amd3) in
   check Alcotest.bool "TSO" true
-    (Operational.condition_reachable Operational.Tso amd3 ~partial:target);
+    (Operational.condition_reachable Model.Tso amd3 ~partial:target);
   check Alcotest.bool "SC" false
-    (Operational.condition_reachable Operational.Sc amd3 ~partial:target)
+    (Operational.condition_reachable Model.Sc amd3 ~partial:target)
 
 let test_fence_restores_order () =
   (* amd5 = sb + mfences: the relaxed outcome disappears. *)
@@ -59,14 +60,14 @@ let test_fence_restores_order () =
   check
     (Alcotest.list Alcotest.string)
     "amd5 TSO" [ "01"; "10"; "11" ]
-    (labels (outcome_set Operational.Tso amd5))
+    (labels (outcome_set Model.Tso amd5))
 
 let test_sc_subset_tso_catalog () =
   List.iter
     (fun (e : Catalog.entry) ->
       let test = e.Catalog.test in
-      let sc = outcome_set Operational.Sc test in
-      let tso = outcome_set Operational.Tso test in
+      let sc = outcome_set Model.Sc test in
+      let tso = outcome_set Model.Tso test in
       List.iter
         (fun o ->
           if not (List.exists (Outcome.equal o) tso) then
@@ -80,7 +81,7 @@ let test_table_ii_classification () =
     (fun (e : Catalog.entry) ->
       let expected = e.Catalog.classification = Catalog.Allowed in
       let got =
-        Result.get_ok (Operational.target_allowed Operational.Tso e.Catalog.test)
+        Result.get_ok (Operational.target_allowed Model.Tso e.Catalog.test)
       in
       check Alcotest.bool e.Catalog.test.Ast.name expected got)
     Catalog.suite
@@ -91,17 +92,17 @@ let test_targets_are_genuine () =
   List.iter
     (fun (e : Catalog.entry) ->
       let got =
-        Result.get_ok (Operational.target_allowed Operational.Sc e.Catalog.test)
+        Result.get_ok (Operational.target_allowed Model.Sc e.Catalog.test)
       in
       check Alcotest.bool (e.Catalog.test.Ast.name ^ " not SC") false got)
     Catalog.allowed
 
 let test_state_count () =
   check Alcotest.bool "sb explores states" true
-    (Operational.state_count Operational.Tso Catalog.sb > 10);
+    (Operational.state_count Model.Tso Catalog.sb > 10);
   check Alcotest.bool "SC smaller than TSO" true
-    (Operational.state_count Operational.Sc Catalog.sb
-    < Operational.state_count Operational.Tso Catalog.sb)
+    (Operational.state_count Model.Sc Catalog.sb
+    < Operational.state_count Model.Tso Catalog.sb)
 
 (* --- Axiomatic ----------------------------------------------------------- *)
 
@@ -126,8 +127,8 @@ let test_agreement_catalog () =
           then
             Alcotest.failf "%s under %s: operational and axiomatic disagree"
               test.Ast.name
-              (Operational.model_to_string model))
-        [ Operational.Sc; Operational.Tso ])
+              (Model.to_string model))
+        [ Model.Sc; Model.Tso ])
     Catalog.suite
 
 let test_axiomatic_final_memory () =
@@ -138,11 +139,11 @@ let test_axiomatic_final_memory () =
   let t = List.hd Catalog.non_convertible in
   check Alcotest.string "is 2+2w" "2+2w" t.Ast.name;
   check Alcotest.bool "2+2w forbidden under TSO" false
-    (Axiomatic.condition_reachable Operational.Tso t);
+    (Axiomatic.condition_reachable Model.Tso t);
   check Alcotest.bool "2+2w forbidden under SC" false
-    (Axiomatic.condition_reachable Operational.Sc t);
+    (Axiomatic.condition_reachable Model.Sc t);
   check Alcotest.bool "2+2w reachable under PSO" true
-    (Axiomatic.condition_reachable Operational.Pso t)
+    (Axiomatic.condition_reachable Model.Pso t)
 
 let test_forall_semantics () =
   (* Coherence always holds: a single-writer load can only return 0 or 1,
@@ -167,7 +168,7 @@ let test_forall_semantics () =
   in
   (* Not universal: the load may run before the store. *)
   check Alcotest.bool "not always 1" false
-    (always Operational.Tso t [ (1, 0, 1) ]);
+    (always Model.Tso t [ (1, 0, 1) ]);
   (* Universal tautology over the only loaded register's possible values
      is not expressible as one atom; but a test whose only store precedes
      its own load in one thread always reads it. *)
@@ -178,11 +179,11 @@ let test_forall_semantics () =
       ()
   in
   check Alcotest.bool "own store always read" true
-    (always Operational.Tso own [ (0, 0, 1) ]);
+    (always Model.Tso own [ (0, 0, 1) ]);
   check Alcotest.bool "verdict forall" true
-    (Result.get_ok (Operational.condition_verdict Operational.Tso own));
+    (Result.get_ok (Operational.condition_verdict Model.Tso own));
   check Alcotest.bool "verdict exists (sb)" true
-    (Result.get_ok (Operational.condition_verdict Operational.Tso Catalog.sb))
+    (Result.get_ok (Operational.condition_verdict Model.Tso Catalog.sb))
 
 (* --- PSO extension -------------------------------------------------------- *)
 
@@ -191,10 +192,10 @@ let test_pso_relaxes_mp () =
      target becomes observable; TSO still forbids it. *)
   let target = Result.get_ok (Outcome.of_condition Catalog.mp) in
   check Alcotest.bool "PSO allows mp" true
-    (Operational.condition_reachable Operational.Pso Catalog.mp
+    (Operational.condition_reachable Model.Pso Catalog.mp
        ~partial:target);
   check Alcotest.bool "TSO forbids mp" false
-    (Operational.condition_reachable Operational.Tso Catalog.mp
+    (Operational.condition_reachable Model.Tso Catalog.mp
        ~partial:target)
 
 let test_pso_keeps_fences () =
@@ -203,7 +204,7 @@ let test_pso_keeps_fences () =
     (fun name ->
       let test = Catalog.find_exn name in
       check Alcotest.bool (name ^ " forbidden under PSO") false
-        (Result.get_ok (Operational.target_allowed Operational.Pso test)))
+        (Result.get_ok (Operational.target_allowed Model.Pso test)))
     [ "mp+fences"; "safe022"; "amd5" ]
 
 let test_pso_superset_of_tso () =
@@ -211,8 +212,8 @@ let test_pso_superset_of_tso () =
   List.iter
     (fun (e : Catalog.entry) ->
       let test = e.Catalog.test in
-      let tso = outcome_set Operational.Tso test in
-      let pso = outcome_set Operational.Pso test in
+      let tso = outcome_set Model.Tso test in
+      let pso = outcome_set Model.Pso test in
       List.iter
         (fun o ->
           if not (List.exists (Outcome.equal o) pso) then
@@ -228,15 +229,15 @@ let test_pso_coherent () =
     (fun name ->
       let test = Catalog.find_exn name in
       check Alcotest.bool (name ^ " forbidden under PSO") false
-        (Result.get_ok (Operational.target_allowed Operational.Pso test)))
+        (Result.get_ok (Operational.target_allowed Model.Pso test)))
     [ "mp+staleld"; "n4"; "n5"; "co-iriw" ]
 
 let test_pso_agreement_catalog () =
   List.iter
     (fun (e : Catalog.entry) ->
       let test = e.Catalog.test in
-      let op = Operational.reachable_outcomes Operational.Pso test in
-      let ax = Axiomatic.reachable_outcomes Operational.Pso test in
+      let op = Operational.reachable_outcomes Model.Pso test in
+      let ax = Axiomatic.reachable_outcomes Model.Pso test in
       if
         List.length op <> List.length ax
         || not (List.for_all2 Outcome.equal op ax)
@@ -255,22 +256,43 @@ let agreement_property =
           let ax = Axiomatic.reachable_outcomes model test in
           List.length op = List.length ax
           && List.for_all2 Outcome.equal op ax)
-        [ Operational.Sc; Operational.Tso; Operational.Pso ])
+        Model.all)
 
 let sc_subset_property =
   QCheck.Test.make ~name:"SC outcomes are TSO outcomes on random tests"
     ~count:50
     (Gen.arbitrary_test ~max_threads:3 ~max_instrs:2 ())
     (fun test ->
-      let sc = Operational.reachable_outcomes Operational.Sc test in
-      let tso = Operational.reachable_outcomes Operational.Tso test in
+      let sc = Operational.reachable_outcomes Model.Sc test in
+      let tso = Operational.reachable_outcomes Model.Tso test in
       List.for_all (fun o -> List.exists (Outcome.equal o) tso) sc)
+
+(* --- The model table ------------------------------------------------------ *)
+
+(* The per-thread chain split that {!Model} derives from its table is
+   exact only under these conditions (see model.mli). *)
+let test_chain_split_preconditions () =
+  List.iter
+    (fun m ->
+      let keeps what a b ~same_loc =
+        check Alcotest.bool (Model.to_string m ^ " keeps " ^ what) true
+          (Model.preserved m a b ~same_loc)
+      in
+      List.iter
+        (fun same_loc ->
+          keeps "R->R" Model.R Model.R ~same_loc;
+          keeps "R->W" Model.R Model.W ~same_loc)
+        [ true; false ];
+      keeps "same-location W->W" Model.W Model.W ~same_loc:true;
+      if Model.preserved m Model.W Model.R ~same_loc:false then
+        keeps "W->W with W->R" Model.W Model.W ~same_loc:false)
+    Model.all
 
 (* --- Solver backend ------------------------------------------------------- *)
 
 module Solver = Perple_memmodel.Solver
 
-let models = [ Operational.Sc; Operational.Tso; Operational.Pso ]
+let models = Model.all
 
 let test_solver_agreement_catalog () =
   List.iter
@@ -286,7 +308,7 @@ let test_solver_agreement_catalog () =
           then
             Alcotest.failf "%s under %s: solver and operational disagree"
               test.Ast.name
-              (Operational.model_to_string model))
+              (Model.to_string model))
         models)
     Catalog.suite
 
@@ -295,7 +317,7 @@ let test_solver_table_ii () =
     (fun (e : Catalog.entry) ->
       let expected = e.Catalog.classification = Catalog.Allowed in
       let got =
-        Result.get_ok (Solver.target_allowed Operational.Tso e.Catalog.test)
+        Result.get_ok (Solver.target_allowed Model.Tso e.Catalog.test)
       in
       check Alcotest.bool e.Catalog.test.Ast.name expected got)
     Catalog.suite
@@ -309,7 +331,7 @@ let test_solver_final_memory () =
         (fun model ->
           check Alcotest.bool
             (Printf.sprintf "%s under %s" t.Ast.name
-               (Operational.model_to_string model))
+               (Model.to_string model))
             (Axiomatic.condition_reachable model t)
             (Solver.final_condition_reachable model t))
         models)
@@ -325,9 +347,9 @@ let test_solver_forall () =
       ()
   in
   check Alcotest.bool "verdict forall" true
-    (Result.get_ok (Solver.condition_verdict Operational.Tso own));
+    (Result.get_ok (Solver.condition_verdict Model.Tso own));
   check Alcotest.bool "verdict exists (sb)" true
-    (Result.get_ok (Solver.condition_verdict Operational.Tso Catalog.sb))
+    (Result.get_ok (Solver.condition_verdict Model.Tso Catalog.sb))
 
 let solver_agreement_property =
   QCheck.Test.make ~name:"solver = operational = axiomatic on random tests"
@@ -388,19 +410,19 @@ let mp_trace iters =
 
 let test_solver_trace_long () =
   (* 2000 events: far beyond what enumerating executions can reach. *)
-  let v = Solver.classify_trace Operational.Tso (sb_trace 500) in
+  let v = Solver.classify_trace Model.Tso (sb_trace 500) in
   check Alcotest.int "2000 events" 2000 v.Solver.events;
   check Alcotest.bool "TSO-consistent" true v.Solver.consistent;
   check Alcotest.int "decided by the fast path" 0 v.Solver.decisions;
-  let v = Solver.classify_trace Operational.Sc (sb_trace 500) in
+  let v = Solver.classify_trace Model.Sc (sb_trace 500) in
   check Alcotest.bool "SC-inconsistent" false v.Solver.consistent
 
 let test_solver_trace_violation () =
-  let v = Solver.classify_trace Operational.Tso (mp_trace 500) in
+  let v = Solver.classify_trace Model.Tso (mp_trace 500) in
   check Alcotest.bool "TSO rejects stale mp" false v.Solver.consistent;
   check Alcotest.bool "names the broken axiom" true
     (v.Solver.violation <> None);
-  let v = Solver.classify_trace Operational.Pso (mp_trace 500) in
+  let v = Solver.classify_trace Model.Pso (mp_trace 500) in
   check Alcotest.bool "PSO allows stale mp" true v.Solver.consistent
 
 (* Violations say where they are: a uniproc shape names the read and the
@@ -409,7 +431,7 @@ let test_solver_trace_violation () =
 let test_solver_trace_where () =
   let violation threads =
     Option.value ~default:"(consistent)"
-      (Solver.classify_trace Operational.Tso threads).Solver.violation
+      (Solver.classify_trace Model.Tso threads).Solver.violation
   in
   let w = Solver.T_write "x" and r src = Solver.T_read ("x", src) in
   check Alcotest.string "CoRR"
@@ -442,7 +464,7 @@ let test_solver_rf_validated () =
   let rejects name threads =
     Alcotest.check_raises name
       (Invalid_argument "Solver: rf source is not a same-location write")
-      (fun () -> ignore (Solver.classify_trace Operational.Tso threads))
+      (fun () -> ignore (Solver.classify_trace Model.Tso threads))
   in
   let w x = Solver.T_write x and r src = Solver.T_read ("x", Some src) in
   rejects "another location" [| [| w "y"; r 0 |] |];
@@ -455,7 +477,7 @@ let test_solver_trace_search () =
      forces the interleaving, so the fast path stalls and the DPLL
      branch decides (any interleaving works). *)
   let writes n = Array.make n (Solver.T_write "x") in
-  let v = Solver.classify_trace Operational.Tso [| writes 300; writes 300 |] in
+  let v = Solver.classify_trace Model.Tso [| writes 300; writes 300 |] in
   check Alcotest.bool "write race consistent" true v.Solver.consistent;
   check Alcotest.bool "search was needed" true (v.Solver.decisions > 0);
   (* A read pinning one write order plus a fence-framed contradiction:
@@ -464,7 +486,7 @@ let test_solver_trace_search () =
      t0's own second store, the orders clash under SC. *)
   let t0 = [| Solver.T_write "x"; Solver.T_write "x" |] in
   let t1 = [| Solver.T_write "x"; Solver.T_read ("x", Some 0) |] in
-  let v = Solver.classify_trace Operational.Sc [| t0; t1 |] in
+  let v = Solver.classify_trace Model.Sc [| t0; t1 |] in
   check Alcotest.bool "pinned race consistent" true v.Solver.consistent
 
 (* --- An independent oracle for trace classification ------------------- *)
@@ -577,7 +599,7 @@ let oracle_consistent model threads =
         is_mem a && is_mem b
         && not
              ((is_write a && is_read b)
-             || (model = Operational.Pso && is_write a && is_write b
+             || (model = Model.Pso && is_write a && is_write b
                 && loc a <> loc b)))
       po
   in
@@ -624,8 +646,8 @@ let oracle_consistent model threads =
     acyclic (po_loc @ rf @ ws @ fr)
     &&
     match model with
-    | Operational.Sc -> acyclic (po @ rf @ ws @ fr)
-    | Operational.Tso | Operational.Pso ->
+    | Model.Sc -> acyclic (po @ rf @ ws @ fr)
+    | Model.Tso | Model.Pso ->
       acyclic (ppo @ fenced @ rfe @ ws @ fr)
   in
   let locations = List.sort_uniq compare (List.filter_map loc ids) in
@@ -698,6 +720,11 @@ let suite =
       ] );
     ( "memmodel.forall",
       [ Alcotest.test_case "forall semantics" `Quick test_forall_semantics ] );
+    ( "memmodel.model",
+      [
+        Alcotest.test_case "chain split preconditions" `Quick
+          test_chain_split_preconditions;
+      ] );
     ( "memmodel.solver",
       [
         Alcotest.test_case "agreement on catalog" `Quick

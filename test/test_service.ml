@@ -529,7 +529,7 @@ let test_scheduler_kill_resume_equivalence () =
         ignore (Coordinator.run_local co1 ~now:0)
       done;
       let before = Scheduler.completed s1 ~campaign:"kr" in
-      Scheduler.abandon s1;
+      Scheduler.close s1;
       (* Restart over the same journal, different parallelism. *)
       let s2 =
         Result.get_ok
@@ -726,7 +726,7 @@ let test_server_kill_restart_stream_identity () =
   let journaled = Scheduler.completed s1 ~campaign:"resurrect" in
   check Alcotest.bool "kill point is mid-campaign" true
     (journaled > 0 && journaled < 5);
-  Scheduler.abandon s1;
+  Scheduler.close s1;
   (* Restart: fresh scheduler and server over the same journal. *)
   let s2 = Result.get_ok (Scheduler.create ~jobs:1 ~journal:(Some path) ()) in
   let server2 = Server.create ~session_config:fast_session ~scheduler:s2 () in

@@ -13,6 +13,7 @@ module Ast = Perple_litmus.Ast
 module Outcome = Perple_litmus.Outcome
 module Catalog = Perple_litmus.Catalog
 module Operational = Perple_memmodel.Operational
+module Model = Perple_litmus.Model
 module Config = Perple_sim.Config
 module Litmus7 = Perple_harness.Litmus7
 module Sync_mode = Perple_harness.Sync_mode
@@ -26,9 +27,9 @@ let check = Alcotest.check
 
 let model_pairs =
   [
-    (Config.Sc, Operational.Sc);
-    (Config.Tso, Operational.Tso);
-    (Config.Pso, Operational.Pso);
+    (Config.Sc, Model.Sc);
+    (Config.Tso, Model.Tso);
+    (Config.Pso, Model.Pso);
   ]
 
 let observed_subset_of_reachable ~test ~sim_model ~checker_model ~seed =
@@ -97,7 +98,7 @@ let test_perpetual_counts_reachable_only () =
         List.map (fun o -> Result.get_ok (OC.convert conv o)) outcomes
       in
       let result = Count.exhaustive_independent conv ~outcomes:converted ~run in
-      let reachable = Operational.reachable_outcomes Operational.Tso test in
+      let reachable = Operational.reachable_outcomes Model.Tso test in
       List.iteri
         (fun i o ->
           if
@@ -129,7 +130,7 @@ let test_perpetual_pso_soundness () =
       let result =
         Count.exhaustive_independent conv ~outcomes:converted ~run
       in
-      let reachable = Operational.reachable_outcomes Operational.Pso test in
+      let reachable = Operational.reachable_outcomes Model.Pso test in
       List.iteri
         (fun i o ->
           if
@@ -185,7 +186,7 @@ let test_traces_verify () =
             Alcotest.failf "%s on %s: trace violates %s: %s"
               e.Catalog.test.Ast.name
               (Config.model_name sim_model)
-              (Operational.model_to_string checker_model)
+              (Model.to_string checker_model)
               (Option.value ~default:"?" v.Perple_memmodel.Solver.violation))
         model_pairs)
     Catalog.suite
@@ -197,7 +198,7 @@ let test_trace_2000_events () =
   let conv, run =
     perpetual_for Config.default 43 Catalog.sb ~iterations:500
   in
-  let v = Trace_check.verify ~model:Operational.Tso conv run in
+  let v = Trace_check.verify ~model:Model.Tso conv run in
   check Alcotest.bool "consistent" true v.Perple_memmodel.Solver.consistent;
   check Alcotest.bool ">= 2000 events" true
     (v.Perple_memmodel.Solver.events >= 2000);
@@ -219,7 +220,7 @@ let test_trace_detects_planted_bugs () =
             (Config.with_model bug Config.default)
             !seed test ~iterations:300
         in
-        let v = Trace_check.verify ~model:Operational.Tso conv run in
+        let v = Trace_check.verify ~model:Model.Tso conv run in
         if not v.Perple_memmodel.Solver.consistent then detected := true;
         incr seed
       done;
@@ -254,7 +255,7 @@ let test_trace_value_bounded () =
     | None -> false
   in
   let verify value =
-    Trace_check.verify ~model:Operational.Tso conv (with_value value)
+    Trace_check.verify ~model:Model.Tso conv (with_value value)
   in
   let v = verify 2_000_001 in
   check Alcotest.bool "inconsistent" false v.Perple_memmodel.Solver.consistent;
@@ -447,7 +448,7 @@ let test_violation_names_event () =
         (Config.with_model Config.Tso_store_reorder Config.default)
         seed Catalog.mp ~iterations:500
     in
-    let v = Trace_check.verify ~model:Operational.Tso conv run in
+    let v = Trace_check.verify ~model:Model.Tso conv run in
     if v.Solver.consistent then first_violation (seed + 1) else (conv, run, v)
   in
   let conv, run, v = first_violation 3 in
