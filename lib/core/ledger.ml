@@ -341,7 +341,8 @@ let open_journal ?(prog = "perple") ?(fresh_if_empty = false) ~path ~resume
           match Json.map_result replay records with
           | Error m -> fail "%s" m
           | Ok _ ->
-            Journal.compact ~path (header_to_json expect :: live ());
+            Journal.compact ~loaded:recovery ~path
+              (header_to_json expect :: live ());
             Ok (Journal.open_append path))))
 
 (* The canonical streamed form of a run record: exactly the compact JSON

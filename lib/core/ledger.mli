@@ -102,9 +102,13 @@ val open_journal :
     names the units in the mismatch message); every later record except
     the ["interrupted"] and ["draining"] markers goes to [ingest] in
     file order; then the file is compacted to the header plus [live ()]
-    and reopened for append.  A journal with no intact record is an
-    error unless [fresh_if_empty], which starts it over.  Every error is
-    prefixed ["cannot resume: "].  I/O failures raise [Unix.Unix_error]
+    and reopened for append.  A file that already holds exactly those
+    records — nothing dropped, the header line first, the [live ()]
+    records in any order — is kept and fsync'd rather than rewritten
+    ({!Perple_util.Journal.compact}), so resuming a clean journal writes
+    nothing.  A journal with no intact record is an error unless
+    [fresh_if_empty], which starts it over.  Every error is prefixed
+    ["cannot resume: "].  I/O failures raise [Unix.Unix_error]
     or [Sys_error]. *)
 
 val record_line : t -> string

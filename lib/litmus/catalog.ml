@@ -406,11 +406,6 @@ let non_convertible_cycles =
             let ends_w e =
               String.length e >= 1 && e.[String.length e - 1] = 'W'
             in
-            let starts_w e =
-              String.length e >= 2
-              && e.[String.length e - 2] = 'W'
-            in
-            ignore starts_w;
             if
               ends_w a && ends_w b
               && a.[String.length a - 2] <> 'R'
@@ -422,7 +417,7 @@ let non_convertible_cycles =
   in
   base @ more
 
-let generated_non_convertible =
+let generated_non_convertible () =
   let count = ref 0 in
   List.filter_map
     (fun cycle_text ->
@@ -468,10 +463,12 @@ let memory_variant suffix entry =
            (Array.to_list (Array.map Array.to_list test.Ast.threads))
          ~condition ())
 
-let extended_88 =
+let build_extended_88 () =
   let convertible = List.map (fun e -> (e.test, true)) suite in
   let named = List.map (fun t -> (t, false)) non_convertible in
-  let generated = List.map (fun t -> (t, false)) generated_non_convertible in
+  let generated =
+    List.map (fun t -> (t, false)) (generated_non_convertible ())
+  in
   let pool = convertible @ named @ generated in
   let need = 88 - List.length pool in
   let padding =
@@ -486,6 +483,13 @@ let extended_88 =
           suite)
   in
   List.filteri (fun i _ -> i < 88) (pool @ padding)
+
+(* Built on first use and memoised: running the generator at module
+   initialisation would charge every process, [perple --version]
+   included. *)
+let extended_88 =
+  let memo = lazy (build_extended_88 ()) in
+  fun () -> Lazy.force memo
 
 (* --- Persistent-memory suite ------------------------------------------- *)
 

@@ -18,7 +18,7 @@ type summary = {
 
 let summarize (params : Common.params) =
   let iterations = params.Common.iterations in
-  let campaign = Catalog.extended_88 in
+  let campaign = Catalog.extended_88 () in
   let results =
     List.map
       (fun (test, convertible) ->

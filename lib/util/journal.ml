@@ -55,15 +55,15 @@ let hex8 s =
       s;
   if !ok then Some !value else None
 
-(* A complete line, newline stripped.  Any failure means the line (and,
+(* A complete line, newline included.  Any failure means the line (and,
    per the prefix rule, everything after it) is discarded. *)
 let decode line =
-  if String.length line < 10 || line.[8] <> ' ' then None
+  if String.length line < 11 || line.[8] <> ' ' then None
   else
     match hex8 (String.sub line 0 8) with
     | None -> None
     | Some crc ->
-      let payload = String.sub line 9 (String.length line - 9) in
+      let payload = String.sub line 9 (String.length line - 10) in
       if crc32 payload <> crc then None
       else begin
         match Json.parse payload with
@@ -75,6 +75,7 @@ let decode line =
 
 type recovery = {
   records : Json.t list;
+  lines : string list;
   valid_bytes : int;
   dropped_bytes : int;
 }
@@ -89,18 +90,22 @@ let load path =
   | exception Sys_error m -> Error m
   | text ->
     let n = String.length text in
-    let rec scan pos acc =
+    let rec scan pos records lines =
       match String.index_from_opt text pos '\n' with
-      | None -> (pos, acc) (* torn tail: no terminator *)
+      | None -> (pos, records, lines) (* torn tail: no terminator *)
       | Some nl -> (
-        match decode (String.sub text pos (nl - pos)) with
-        | Some record -> scan (nl + 1) (record :: acc)
-        | None -> (pos, acc))
+        let line = String.sub text pos (nl + 1 - pos) in
+        match decode line with
+        | Some record -> scan (nl + 1) (record :: records) (line :: lines)
+        | None -> (pos, records, lines))
     in
-    let valid_bytes, acc = if n = 0 then (0, []) else scan 0 [] in
+    let valid_bytes, records, lines =
+      if n = 0 then (0, [], []) else scan 0 [] []
+    in
     Ok
       {
-        records = List.rev acc;
+        records = List.rev records;
+        lines = List.rev lines;
         valid_bytes;
         dropped_bytes = n - valid_bytes;
       }
@@ -146,7 +151,22 @@ let close t = Unix.close t.fd
 
 (* --- Compaction ------------------------------------------------------------ *)
 
-let compact ~path records =
-  let b = Buffer.create 4096 in
-  List.iter (fun r -> Buffer.add_string b (encode r)) records;
-  Atomic_file.write ~path (Buffer.contents b)
+(* See the interface: the first line in place, the rest as a multiset. *)
+let already_compact loaded lines =
+  loaded.dropped_bytes = 0
+  &&
+  match (loaded.lines, lines) with
+  | first :: rest, first' :: rest' ->
+    first = first'
+    && List.sort String.compare rest = List.sort String.compare rest'
+  | _ -> false
+
+let compact ~loaded ~path records =
+  let lines = List.map encode records in
+  if already_compact loaded lines then begin
+    (* The durability a rewrite would give: file and directory synced. *)
+    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd);
+    Atomic_file.fsync_dir (Filename.dirname path)
+  end
+  else Atomic_file.write ~path (String.concat "" lines)

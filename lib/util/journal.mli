@@ -14,7 +14,8 @@
     longest valid record prefix instead of failing, reporting how many
     bytes it dropped.  {!compact} rewrites a journal atomically
     (write → fsync → rename via {!Atomic_file}), which is how recovery
-    truncates a damaged tail before new appends continue after it.
+    truncates a damaged tail before new appends continue after it; a
+    journal that already is its own compaction is kept in place.
 
     The format is deliberately line-oriented and self-describing: a
     journal can be inspected with standard shell tools, and record order
@@ -35,6 +36,9 @@ val encode : Json.t -> string
 
 type recovery = {
   records : Json.t list;  (** The longest valid record prefix, in order. *)
+  lines : string list;
+      (** The on-disk lines of [records], newline included, in the same
+          order. *)
   valid_bytes : int;  (** Bytes covered by [records]. *)
   dropped_bytes : int;
       (** Trailing bytes discarded as torn or corrupt; [0] for a clean
@@ -68,7 +72,16 @@ val try_append : t -> Json.t -> bool
 
 val close : t -> unit
 
-val compact : path:string -> Json.t list -> unit
-(** Atomically replace the journal at [path] with exactly the given
-    records.  Used to truncate recovered damage and to snapshot a long
-    journal down to its live records. *)
+val compact : loaded:recovery -> path:string -> Json.t list -> unit
+(** Atomically replace the journal at [path], which {!load} just read as
+    [loaded], with exactly the given records.  Used to truncate recovered
+    damage and to snapshot a long journal down to its live records.
+
+    When [loaded] shows the file already compact — nothing dropped, its
+    first line the first record's encoding and its other lines exactly
+    the other records' encodings, as a multiset in any order — the file
+    is kept as it is and only fsync'd, with its directory, instead of
+    rewritten.  That is sound whatever the order, since the kept file is
+    the one just loaded: the next load rebuilds the same state.  Any
+    damage, extra record or differing byte still rewrites the file to
+    the given records. *)

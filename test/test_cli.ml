@@ -16,13 +16,14 @@ let binary_path () = Option.get (Lazy.force binary)
 
 let scratch = Filename.concat (Filename.get_temp_dir_name ()) "perple-cli-test"
 
-(* Run the CLI; return (exit code, stdout+stderr). *)
-let run_cli args =
+(* Run the CLI, with [env] assignments before it; return (exit code,
+   stdout+stderr). *)
+let run_cli ?(env = "") args =
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote scratch)));
   Sys.mkdir scratch 0o755;
   let out = Filename.concat scratch "out.txt" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2>&1"
+    Printf.sprintf "%s %s %s > %s 2>&1" env
       (Filename.quote (binary_path ()))
       args (Filename.quote out)
   in
@@ -452,6 +453,25 @@ let test_bad_cycle () =
 
 let test_bad_model () = expect_fail "run sb --model alpha"
 
+(* Module initialisation runs in every process, [perple --version]
+   included, so no library may compute there.  The runtime's exit
+   statistics (OCAMLRUNPARAM v=0x400) count the words it allocated. *)
+let test_startup_allocation () =
+  if Lazy.force have_binary then begin
+    let code, text = run_cli "--version" ~env:"OCAMLRUNPARAM=v=0x400" in
+    check Alcotest.int "--version ok" 0 code;
+    match
+      List.find_map
+        (fun l -> Scanf.sscanf_opt l "allocated_words: %d" Fun.id)
+        (String.split_on_char '\n' text)
+    with
+    | None -> Alcotest.failf "no allocation statistics in:\n%s" text
+    | Some words ->
+      if words > 25_000 then
+        Alcotest.failf "perple --version allocated %d words (bound 25000)"
+          words
+  end
+
 let suite =
   [
     ( "cli",
@@ -521,6 +541,8 @@ let suite =
         Alcotest.test_case "unknown test" `Quick test_unknown_test;
         Alcotest.test_case "bad cycle" `Quick test_bad_cycle;
         Alcotest.test_case "bad model" `Quick test_bad_model;
+        Alcotest.test_case "start-up allocation" `Quick
+          test_startup_allocation;
         Alcotest.test_case "bad fault spec" `Quick test_bad_fault_spec;
         Alcotest.test_case "bad fault probability" `Quick
           test_bad_fault_probability;

@@ -205,7 +205,9 @@ let test_compact () =
   (* Simulate damage, then compact to just the first two records. *)
   write_raw path (read_file path ^ "garbage without checksum\n");
   let keep = List.filteri (fun i _ -> i < 2) sample_records in
-  Journal.compact ~path keep;
+  (match Journal.load path with
+  | Ok loaded -> Journal.compact ~loaded ~path keep
+  | Error m -> Alcotest.failf "damaged journal load failed: %s" m);
   match Journal.load path with
   | Error m -> Alcotest.failf "compacted journal load failed: %s" m
   | Ok r ->
@@ -497,7 +499,7 @@ let test_cli_resume_byte_identical () =
             (* Interrupt after k records, with a torn half-record tail —
                exactly what a SIGKILL mid-append leaves behind. *)
             let cut = in_scratch (Printf.sprintf "cut%d_%d.log" case k) in
-            Journal.compact ~path:cut
+            write_journal cut
               (header :: List.filteri (fun i _ -> i < k) run_records);
             write_raw cut (read_file cut ^ "0bad");
             let resumed_metrics =
@@ -604,6 +606,108 @@ let test_cli_journal_guards () =
     in
     check Alcotest.int "same config resumes" 0 code
 
+(* --- Clean-journal resume ------------------------------------------------- *)
+
+let inode path = (Unix.stat path).Unix.st_ino
+
+let test_compact_keeps_clean_journal () =
+  with_scratch @@ fun () ->
+  let path = in_scratch "clean.log" in
+  let header, rest = (List.hd sample_records, List.tl sample_records) in
+  write_journal path (header :: List.rev rest);
+  let loaded path =
+    match Journal.load path with
+    | Ok r -> r
+    | Error m -> Alcotest.failf "load failed: %s" m
+  in
+  let bytes = read_file path and ino = inode path in
+  Journal.compact ~loaded:(loaded path) ~path sample_records;
+  check Alcotest.string "reordered journal kept" bytes (read_file path);
+  check Alcotest.int "same file" ino (inode path);
+  (* One record too many, or a different first line, is rewritten. *)
+  write_journal path (sample_records @ [ List.hd rest ]);
+  Journal.compact ~loaded:(loaded path) ~path sample_records;
+  let compacted = read_file path in
+  check Alcotest.string "duplicate dropped"
+    (String.concat "" (List.map Journal.encode sample_records))
+    compacted;
+  write_journal path (List.hd rest :: header :: List.tl rest);
+  Journal.compact ~loaded:(loaded path) ~path sample_records;
+  check Alcotest.string "header moved back first" compacted (read_file path)
+
+(* Resuming a journal that already is its own compaction writes nothing,
+   in whatever order its runs retired; a journal with a marker, a torn
+   tail or a duplicated run is still compacted, to header + runs by
+   index. *)
+let test_cli_clean_resume_keeps_journal () =
+  if Lazy.force have_binary then
+    with_scratch @@ fun () ->
+    let base = "run sb -n 300 --seed 5 --runs 4" in
+    let code, clean = run_cli base in
+    check Alcotest.int "clean ok" 0 code;
+    let ordered = in_scratch "ordered.log" in
+    let code, _ =
+      run_cli (Printf.sprintf "%s --journal %s" base (Filename.quote ordered))
+    in
+    check Alcotest.int "journaled ok" 0 code;
+    let compacted = read_file ordered in
+    let resume label path =
+      let code, out =
+        run_cli
+          (Printf.sprintf "%s --jobs 2 --journal %s --resume" base
+             (Filename.quote path))
+      in
+      check Alcotest.int (label ^ ": resume ok") 0 code;
+      check Alcotest.string (label ^ ": stdout identical") clean out
+    in
+    let header, runs = journal_run_lines ordered in
+    (* Runs in retirement order 1,0,2,3, as --jobs 2 often leaves them. *)
+    let shuffled = in_scratch "shuffled.log" in
+    write_journal shuffled
+      (header :: List.nth runs 1 :: List.nth runs 0 :: List.tl (List.tl runs));
+    let bytes = read_file shuffled and ino = inode shuffled in
+    resume "runs 1,0,2,3" shuffled;
+    check Alcotest.string "clean journal bytes kept" bytes (read_file shuffled);
+    check Alcotest.int "clean journal not replaced" ino (inode shuffled);
+    List.iter
+      (fun (label, extra) ->
+        let path = in_scratch "unclean.log" in
+        write_raw path (compacted ^ extra);
+        let ino = inode path in
+        resume label path;
+        check Alcotest.string (label ^ ": compacted") compacted
+          (read_file path);
+        check Alcotest.bool (label ^ ": rewritten") true (ino <> inode path))
+      [
+        ("interrupted marker", Journal.encode Ledger.interrupted_marker);
+        ("torn tail", "0bad");
+        ("duplicated run", Journal.encode (List.nth runs 2));
+      ]
+
+(* A daemon restarted over an old serve journal compacts away its
+   shutdown marker; restarted again, it finds the journal clean and
+   leaves the file alone. *)
+let test_scheduler_restart_keeps_clean_journal () =
+  with_scratch @@ fun () ->
+  let fixture = read_file "fixtures/serve.journal" in
+  let path = in_scratch "serve.journal" in
+  write_raw path fixture;
+  let restart () =
+    match Perple_service.Scheduler.create ~journal:(Some path) () with
+    | Error m -> Alcotest.failf "restart refused: %s" m
+    | Ok sched -> Perple_service.Scheduler.close sched
+  in
+  let ino = inode path in
+  restart ();
+  let compacted = read_file path in
+  check Alcotest.bool "first restart compacts" true
+    (compacted <> fixture && inode path <> ino);
+  let ino = inode path in
+  restart ();
+  check Alcotest.string "second restart keeps bytes" compacted
+    (read_file path);
+  check Alcotest.int "second restart keeps the file" ino (inode path)
+
 let suite =
   [
     ( "util.journal",
@@ -620,6 +724,8 @@ let suite =
         Alcotest.test_case "bit-flipped tail" `Quick test_bit_flip_tail;
         QCheck_alcotest.to_alcotest journal_roundtrip_property;
         Alcotest.test_case "compact" `Quick test_compact;
+        Alcotest.test_case "compact keeps a clean journal" `Quick
+          test_compact_keeps_clean_journal;
         Alcotest.test_case "try_append" `Quick test_try_append;
         Alcotest.test_case "atomic write" `Quick test_atomic_write;
       ] );
@@ -648,5 +754,9 @@ let suite =
         Alcotest.test_case "resume survives corrupt tail" `Slow
           test_cli_resume_survives_corrupt_tail;
         Alcotest.test_case "journal guards" `Quick test_cli_journal_guards;
+        Alcotest.test_case "clean resume keeps the journal" `Quick
+          test_cli_clean_resume_keeps_journal;
+        Alcotest.test_case "daemon restart keeps a clean journal" `Quick
+          test_scheduler_restart_keeps_clean_journal;
       ] );
   ]
