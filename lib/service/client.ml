@@ -1,14 +1,13 @@
 (* The client half of the protocol, sans-IO first (so the chaos suite
-   can drive thousands of schedules without a socket), then the small
-   blocking driver the CLI uses. *)
+   can drive thousands of schedules without a socket), then the
+   connection and retry policy for the blocking submitter; {!Link} owns
+   the framing, liveness and socket discipline both halves share. *)
 
-module Framed = Perple_util.Framed
 module Metrics = Perple_util.Metrics
-module Supervisor = Perple_harness.Supervisor
 
-type config = { heartbeat_every : int; liveness_timeout : int }
+type config = Link.config = { heartbeat_every : int; liveness_timeout : int }
 
-let default_config = { heartbeat_every = 1_000; liveness_timeout = 10_000 }
+let default_config = Link.default_config
 
 type outcome = {
   digest : string;
@@ -40,35 +39,25 @@ type phase =
   | Terminal of status
 
 type t = {
-  config : config;
+  link : Link.t;
   spec : Wire.spec;
   on_progress : (progress -> unit) option;
-  inbound : Framed.buf;
-  outbound : Framed.buf;
   mutable phase : phase;
-  mutable last_seen : int;
-  mutable last_beat : int;
   mutable progress : progress option;
   mutable retry_hint : int option;
       (** Ticks the daemon asked us to wait ([Busy]) before retrying. *)
 }
 
-let send t frame =
-  Framed.add_string t.outbound (Wire.encode frame);
-  Metrics.incr "service.client.frames_out"
+let send t frame = Link.send t.link frame
 
 let create ?(config = default_config) ?(peer = "perple-client") ?on_progress
     ~spec ~now () =
   let t =
     {
-      config;
+      link = Link.create config ~metrics:"service.client" ~now;
       spec;
       on_progress;
-      inbound = Framed.create ();
-      outbound = Framed.create ();
       phase = Awaiting_hello;
-      last_seen = now;
-      last_beat = now;
       progress = None;
       retry_hint = None;
     }
@@ -76,11 +65,10 @@ let create ?(config = default_config) ?(peer = "perple-client") ?on_progress
   send t (Wire.Hello { version = Wire.protocol_version; peer });
   t
 
-let output t = t.outbound
+let output t = Link.output t.link
 
 let status t = match t.phase with Terminal s -> s | _ -> Pending
 let progress t = t.progress
-let retry_hint t = t.retry_hint
 
 let fail t reason =
   match t.phase with
@@ -95,7 +83,6 @@ let finish t outcome =
   t.phase <- Terminal (Done outcome)
 
 let on_frame t frame =
-  Metrics.incr "service.client.frames_in";
   match t.phase with
   | Terminal _ -> ()
   | _ -> (
@@ -199,132 +186,50 @@ let on_frame t frame =
         (Printf.sprintf "protocol: worker frame %s on a client connection"
            (Wire.frame_name frame)))
 
-let input t ~now bytes =
-  match t.phase with
-  | Terminal _ -> ()
-  | _ ->
-    if String.length bytes > 0 then t.last_seen <- now;
-    Framed.add_string t.inbound bytes;
-    let rec drain () =
-      match t.phase with
-      | Terminal _ -> ()
-      | _ -> (
-        match Wire.next_frame t.inbound with
-        | `Need_more -> ()
-        | `Corrupt m -> fail t (Printf.sprintf "corrupt stream: %s" m)
-        | `Frame f ->
-          on_frame t f;
-          drain ())
-    in
-    drain ()
+let live t = match t.phase with Terminal _ -> false | _ -> true
 
-let eof t ~now =
-  ignore now;
-  match t.phase with Terminal _ -> () | _ -> fail t "disconnected"
+let input t ~now bytes =
+  Link.feed t.link ~now bytes ~live:(fun () -> live t) ~frame:(on_frame t)
+    ~corrupt:(fun m -> fail t (Printf.sprintf "corrupt stream: %s" m))
+
+let eof t ~now:_ = fail t "disconnected"
 
 let tick t ~now =
-  match t.phase with
-  | Terminal _ -> ()
-  | _ ->
-    if now - t.last_seen >= t.config.liveness_timeout then
-      fail t
-        (Printf.sprintf "timed out: no traffic in %d ticks" (now - t.last_seen))
-    else if now - t.last_beat >= t.config.heartbeat_every then begin
-      t.last_beat <- now;
-      send t (Wire.Heartbeat { sent_at = now })
-    end
+  if live t then
+    match Link.tick t.link ~now with
+    | `Dead silent ->
+      fail t (Printf.sprintf "timed out: no traffic in %d ticks" silent)
+    | `Beat | `Idle -> ()
 
 (* --- retry classification --------------------------------------------------- *)
 
-let retryable reason =
-  (* Transport loss and draining daemons are transient; everything the
-     daemon said "no" to is a verdict. *)
-  let has_prefix p = String.length reason >= String.length p
-                     && String.sub reason 0 (String.length p) = p in
-  has_prefix "disconnected" || has_prefix "timed out"
-  || has_prefix "corrupt stream" || has_prefix "draining"
-  || has_prefix "connect:" || has_prefix "busy"
+(* Transport loss and draining daemons are transient; everything the
+   daemon said "no" to is a verdict. *)
+let retryable = Link.retryable
 
 (* --- blocking driver -------------------------------------------------------- *)
-
-let drive_connection ?on_progress ~socket ~spec () =
-  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error (e, _, _) ->
-    (Failed (Printf.sprintf "connect: %s" (Unix.error_message e)), None)
-  | fd -> (
-    match Unix.connect fd (Unix.ADDR_UNIX socket) with
-    | exception Unix.Unix_error (e, _, _) ->
-      Unix.close fd;
-      (Failed (Printf.sprintf "connect: %s" (Unix.error_message e)), None)
-    | () ->
-      Unix.set_nonblock fd;
-      let epoch = Unix.gettimeofday () in
-      let now () = int_of_float ((Unix.gettimeofday () -. epoch) *. 1000.) in
-      let t = create ?on_progress ~spec ~now:(now ()) () in
-      (* A daemon killed mid-write must classify as a retryable
-         disconnect, not SIGPIPE this process. *)
-      let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-      let finally () =
-        Sys.set_signal Sys.sigpipe old_pipe;
-        try Unix.close fd with Unix.Unix_error _ -> ()
-      in
-      Fun.protect ~finally @@ fun () ->
-      let rec loop () =
-        match status t with
-        | (Done _ | Failed _) as s when Framed.is_empty t.outbound ->
-          (s, retry_hint t)
-        | s -> (
-          match s with
-          | Failed _ | Done _ ->
-            (* Terminal but unsent bytes (the [Drain]); flush best-effort. *)
-            (match Framed.write_from fd t.outbound with
-            | `Wrote _ | `Would_block -> ()
-            | `Closed | `Error _ -> Framed.consume t.outbound (Framed.length t.outbound));
-            loop ()
-          | Pending ->
-            let writers = if Framed.is_empty t.outbound then [] else [ fd ] in
-            (match Unix.select [ fd ] writers [] 0.05 with
-            | readable, writable, _ ->
-              (if writable <> [] then
-                 match Framed.write_from fd t.outbound with
-                 | `Wrote _ | `Would_block -> ()
-                 | `Closed | `Error _ -> eof t ~now:(now ()));
-              (if readable <> [] then
-                 let stage = Framed.create () in
-                 match Framed.read_into fd stage with
-                 | `Read _ -> input t ~now:(now ()) (Framed.take_all stage)
-                 | `Would_block -> ()
-                 | `Closed | `Error _ -> eof t ~now:(now ()))
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            tick t ~now:(now ());
-            loop ())
-      in
-      loop ())
 
 let submit_blocking ~socket ?(attempts = 5) ?(backoff = 2.0)
     ?(initial_delay_ms = 50) ?on_progress ~spec () =
   if attempts < 1 then invalid_arg "Client.submit_blocking: attempts < 1";
-  (* Reuse the supervisor's budget-growth rounding for the retry sleeps:
-     one discipline for "try again, less eagerly" across the repo. *)
-  let policy =
-    { Supervisor.watchdog_rounds = max_int; min_retired = 1;
-      max_retries = attempts - 1; backoff }
-  in
-  let rec go attempt delay_ms =
-    match drive_connection ?on_progress ~socket ~spec () with
-    | Done outcome, _ -> Ok outcome
-    | Pending, _ -> assert false
-    | Failed reason, hint ->
-      if attempt + 1 < attempts && retryable reason then begin
-        Metrics.incr "service.client.retries";
-        (* A [Busy] daemon knows its own refill schedule better than our
-           exponential guess: sleep at least what it asked for. *)
-        let delay_ms =
-          match hint with Some h -> max delay_ms h | None -> delay_ms
-        in
-        Unix.sleepf (float_of_int delay_ms /. 1000.);
-        go (attempt + 1) (Supervisor.backed_off policy delay_ms)
-      end
-      else Error reason
-  in
-  go 0 initial_delay_ms
+  Link.reconnect ~attempts ~backoff ~initial_delay_ms
+    ~on_retry:(fun ~reason:_ ~delay_ms:_ ->
+      Metrics.incr "service.client.retries")
+  @@ fun () ->
+  Link.with_connection (`Unix_socket socket) @@ fun fd ~now ->
+  let t = create ?on_progress ~spec ~now:(now ()) () in
+  Link.pump fd ~now
+    {
+      link = t.link;
+      input = input t;
+      eof = eof t;
+      advance = tick t;
+      step =
+        (fun () ->
+          match status t with
+          | Done outcome -> `Finish (Link.Finished outcome)
+          | Failed reason ->
+            `Finish
+              (Link.Lost { reason; worked = false; retry_after = t.retry_hint })
+          | Pending -> `Wait 0.05);
+    }

@@ -12,9 +12,14 @@
     retries retryable failures (disconnects, timeouts, draining
     daemons) with the {!Perple_harness.Supervisor.backed_off} growth
     discipline; retrying is safe because submits are idempotent per
-    campaign id and the daemon re-streams from the journal. *)
+    campaign id and the daemon re-streams from the journal.
 
-type config = { heartbeat_every : int; liveness_timeout : int }
+    The connection discipline — framing, heartbeats and liveness, the
+    [select] pump with its bounded terminal flush, and the reconnect
+    loop — is {!Link}'s, shared with {!Worker} and {!Session}; this
+    module keeps the phases, the record stream and the [Busy] hint. *)
+
+type config = Link.config = { heartbeat_every : int; liveness_timeout : int }
 
 val default_config : config
 
@@ -59,7 +64,7 @@ val progress : t -> progress option
 val retryable : string -> bool
 (** Whether a [Failed] reason is worth a reconnection (transport-level
     loss, a draining daemon, or a [Busy] rate-limit verdict) rather
-    than a verdict (rejection, protocol error). *)
+    than a verdict (rejection, protocol error); {!Link.retryable}. *)
 
 val submit_blocking :
   socket:string ->
@@ -75,4 +80,5 @@ val submit_blocking :
     exponentially grown sleeps ([initial_delay_ms] scaled by [backoff]
     per retry, {!Perple_harness.Supervisor.backed_off} rounding).  When
     the daemon answers [Busy], the sleep honours its retry-after hint
-    if that is longer than the backoff's own delay. *)
+    if that is longer than the backoff's own delay.  Each connection
+    runs {!Link.pump}; SIGPIPE is ignored while a connection is open. *)

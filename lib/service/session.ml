@@ -1,5 +1,6 @@
 (* Daemon-side session state machine.  Pure protocol discipline over
-   virtual time; all I/O and scheduling lives in the driver. *)
+   virtual time; all I/O and scheduling lives in the driver, and the
+   framing, clocks and heartbeat cadence in {!Link}. *)
 
 module Framed = Perple_util.Framed
 module Metrics = Perple_util.Metrics
@@ -50,12 +51,9 @@ type state = Expect_hello | Active | Closed of terminal
 type t = {
   sid : int;
   config : config;
-  inbound : Framed.buf;
-  outbound : Framed.buf;
+  link : Link.t;
   mutable state : state;
   mutable role : [ `Client | `Worker ];
-  mutable last_seen : int;  (** Clock of the most recent inbound bytes. *)
-  mutable last_beat : int;  (** Clock of our most recent heartbeat. *)
   mutable missed_marked : bool;
       (** One "heartbeats missed" tick per silent stretch, not per tick. *)
   mutable tokens : int;  (** Submit tokens left in this refill window. *)
@@ -68,12 +66,13 @@ let create ?(config = default_config) ~id ~now () =
   {
     sid = id;
     config;
-    inbound = Framed.create ();
-    outbound = Framed.create ();
+    link =
+      Link.create
+        { heartbeat_every = config.heartbeat_every;
+          liveness_timeout = config.liveness_timeout }
+        ~metrics:"service" ~now;
     state = Expect_hello;
     role = `Client;
-    last_seen = now;
-    last_beat = now;
     missed_marked = false;
     tokens = config.submit_burst;
     refill_at = now + config.submit_refill_every;
@@ -103,16 +102,14 @@ let refill t ~now =
 let terminal t = match t.state with Closed c -> Some c | _ -> None
 let active t = t.state = Active
 
-let enqueue t frame =
-  Framed.add_string t.outbound (Wire.encode frame);
-  Metrics.incr "service.frames_out"
+let enqueue t frame = Link.send t.link frame
 
 let send t frame =
   match t.state with
   | Closed _ -> `Ok (* dropped: the peer is gone or being flushed out *)
   | Expect_hello | Active ->
     if
-      Framed.length t.outbound + String.length (Wire.encode frame)
+      Framed.length (Link.output t.link) + String.length (Wire.encode frame)
       > t.config.max_outbound
     then begin
       Metrics.incr "service.backpressure_stalls";
@@ -161,7 +158,6 @@ let worker_only t frame =
     (Printf.sprintf "worker-only frame %s from client" (Wire.frame_name frame))
 
 let on_frame t ~now frame =
-  Metrics.incr "service.frames_in";
   match (t.state, frame) with
   | Closed _, _ -> []
   | Expect_hello, Wire.Hello { version; peer } ->
@@ -222,48 +218,37 @@ let on_frame t ~now frame =
       (Printf.sprintf "server-only frame %s from %s" (Wire.frame_name frame)
          (role_name t))
 
-let feed t ~now bytes =
-  match t.state with
-  | Closed _ -> [] (* quarantined or gone: input is discarded *)
-  | _ ->
-    if String.length bytes > 0 then begin
-      t.last_seen <- now;
-      t.missed_marked <- false
-    end;
-    refill t ~now;
-    Framed.add_string t.inbound bytes;
-    let rec drain acc =
-      match t.state with
-      | Closed _ -> acc
-      | _ -> (
-        match Wire.next_frame t.inbound with
-        | `Need_more -> acc
-        | `Corrupt reason ->
-          acc @ quarantine t (Printf.sprintf "corrupt frame: %s" reason)
-        | `Frame f -> drain (acc @ on_frame t ~now f))
-    in
-    drain []
+let live t = match t.state with Closed _ -> false | _ -> true
 
-let eof t ~now =
-  ignore now;
-  match t.state with Closed _ -> [] | _ -> close t Disconnected
+(* A closed session (quarantined or gone) discards its input; the
+   bucket and silence marks it still updates are never read again. *)
+let feed t ~now bytes =
+  if String.length bytes > 0 then t.missed_marked <- false;
+  refill t ~now;
+  let events = ref [] in
+  let emit evs = events := List.rev_append evs !events in
+  Link.feed t.link ~now bytes ~live:(fun () -> live t)
+    ~frame:(fun f -> emit (on_frame t ~now f))
+    ~corrupt:(fun reason ->
+      emit (quarantine t (Printf.sprintf "corrupt frame: %s" reason)));
+  List.rev !events
+
+let eof t ~now:_ = close t Disconnected
 
 let tick t ~now =
-  match t.state with
-  | Closed _ -> []
-  | _ ->
+  if not (live t) then []
+  else begin
     refill t ~now;
-    if now - t.last_seen >= t.config.liveness_timeout then begin
+    match Link.tick t.link ~now with
+    | `Dead silent ->
       send_control t
         (Wire.Error
            { code = Wire.Timeout;
-             message =
-               Printf.sprintf "no traffic in %d ticks" (now - t.last_seen) });
+             message = Printf.sprintf "no traffic in %d ticks" silent });
       close t Timed_out
-    end
-    else begin
+    | `Beat | `Idle ->
       if
-        now - t.last_seen >= 2 * t.config.heartbeat_every
+        Link.silence t.link ~now >= 2 * t.config.heartbeat_every
         && not t.missed_marked
       then begin
         (* The peer owes us a heartbeat and hasn't sent one (or any other
@@ -271,11 +256,7 @@ let tick t ~now =
         Metrics.incr "service.heartbeats_missed";
         t.missed_marked <- true
       end;
-      if now - t.last_beat >= t.config.heartbeat_every then begin
-        t.last_beat <- now;
-        enqueue t (Wire.Heartbeat { sent_at = now })
-      end;
       []
-    end
+  end
 
-let output t = t.outbound
+let output t = Link.output t.link

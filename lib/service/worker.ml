@@ -1,17 +1,16 @@
 (* The worker half of the coordinator protocol: sans-IO core first (so
    the multi-worker chaos suite can run hundreds of seeded failure
-   schedules without a socket), then the reconnecting blocking driver
-   behind [perple worker]. *)
+   schedules without a socket), then the lease execution and signal
+   handling of the reconnecting blocking driver behind [perple worker];
+   {!Link} owns the framing, liveness and socket discipline. *)
 
-module Framed = Perple_util.Framed
 module Metrics = Perple_util.Metrics
-module Supervisor = Perple_harness.Supervisor
 module Ledger = Perple_core.Ledger
 module Convert = Perple_core.Convert
 
-type config = { heartbeat_every : int; liveness_timeout : int }
+type config = Link.config = { heartbeat_every : int; liveness_timeout : int }
 
-let default_config = { heartbeat_every = 1_000; liveness_timeout = 10_000 }
+let default_config = Link.default_config
 
 type lease = {
   t_campaign : string;
@@ -30,43 +29,33 @@ type task = { spec : Wire.spec; digest : string; index : int }
 type status = Running | Stopped of string
 
 type t = {
-  config : config;
-  inbound : Framed.buf;
-  outbound : Framed.buf;
+  link : Link.t;
   mutable active : bool;  (** Hello handshake completed. *)
   mutable stopped : string option;
   mutable current : lease option;
   mutable queue : lease list;
       (** Leases granted while busy, in grant order; at most one in
           practice (the coordinator leases one shard per worker). *)
-  mutable last_seen : int;
-  mutable last_beat : int;
   mutable leases_taken : int;
 }
 
-let send t frame =
-  Framed.add_string t.outbound (Wire.encode frame);
-  Metrics.incr "service.worker.frames_out"
+let send t frame = Link.send t.link frame
 
 let create ?(config = default_config) ?(name = "perple-worker") ~now () =
   let t =
     {
-      config;
-      inbound = Framed.create ();
-      outbound = Framed.create ();
+      link = Link.create config ~metrics:"service.worker" ~now;
       active = false;
       stopped = None;
       current = None;
       queue = [];
-      last_seen = now;
-      last_beat = now;
       leases_taken = 0;
     }
   in
   send t (Wire.Worker_hello { version = Wire.protocol_version; worker = name });
   t
 
-let output t = t.outbound
+let output t = Link.output t.link
 let status t = match t.stopped with Some r -> Stopped r | None -> Running
 let leases_taken t = t.leases_taken
 
@@ -75,6 +64,12 @@ let stop t reason =
     Metrics.incr "service.worker.stops";
     t.stopped <- Some reason
   end
+
+let renew t l ~now =
+  send t
+    (Wire.Lease_renew
+       { campaign = l.t_campaign; shard = l.t_shard; epoch = l.t_epoch;
+         sent_at = now })
 
 let lease_key l = (l.t_campaign, l.t_shard, l.t_epoch)
 
@@ -86,7 +81,6 @@ let promote t =
     t.queue <- rest
 
 let on_frame t ~now frame =
-  Metrics.incr "service.worker.frames_in";
   match frame with
   | Wire.Heartbeat _ -> ()
   | Wire.Hello { version; _ } ->
@@ -129,7 +123,7 @@ let on_frame t ~now frame =
         (* Acknowledge immediately: the grant-to-first-renewal gap must
            not count against the lease deadline however long the first
            run takes. *)
-        send t (Wire.Lease_renew { campaign; shard; epoch; sent_at = now });
+        renew t l ~now;
         match t.current with
         | None -> t.current <- Some l
         | Some _ -> t.queue <- t.queue @ [ l ]
@@ -157,48 +151,22 @@ let on_frame t ~now frame =
       (Printf.sprintf "protocol: unexpected %s frame" (Wire.frame_name frame))
 
 let input t ~now bytes =
-  match t.stopped with
-  | Some _ -> ()
-  | None ->
-    if String.length bytes > 0 then t.last_seen <- now;
-    Framed.add_string t.inbound bytes;
-    let rec drain () =
-      match t.stopped with
-      | Some _ -> ()
-      | None -> (
-        match Wire.next_frame t.inbound with
-        | `Need_more -> ()
-        | `Corrupt m -> stop t (Printf.sprintf "corrupt stream: %s" m)
-        | `Frame f ->
-          on_frame t ~now f;
-          drain ())
-    in
-    drain ()
+  Link.feed t.link ~now bytes ~live:(fun () -> t.stopped = None)
+    ~frame:(on_frame t ~now)
+    ~corrupt:(fun m -> stop t (Printf.sprintf "corrupt stream: %s" m))
 
-let eof t ~now =
-  ignore now;
-  if t.stopped = None then stop t "disconnected"
+let eof t ~now:_ = stop t "disconnected"
 
 let tick t ~now =
-  match t.stopped with
-  | Some _ -> ()
-  | None ->
-    if now - t.last_seen >= t.config.liveness_timeout then
-      stop t
-        (Printf.sprintf "timed out: no traffic in %d ticks" (now - t.last_seen))
-    else if now - t.last_beat >= t.config.heartbeat_every then begin
-      t.last_beat <- now;
-      send t (Wire.Heartbeat { sent_at = now });
+  if t.stopped = None then
+    match Link.tick t.link ~now with
+    | `Dead silent ->
+      stop t (Printf.sprintf "timed out: no traffic in %d ticks" silent)
+    | `Idle -> ()
+    | `Beat ->
       (* The lease renews on the same cadence as the heartbeat: one
          silence budget for both disciplines. *)
-      match t.current with
-      | Some l ->
-        send t
-          (Wire.Lease_renew
-             { campaign = l.t_campaign; shard = l.t_shard; epoch = l.t_epoch;
-               sent_at = now })
-      | None -> ()
-    end
+      Option.iter (fun l -> renew t l ~now) t.current
 
 let task t =
   if t.stopped <> None then None
@@ -222,11 +190,7 @@ let task_done t ~now ~record =
       Metrics.incr "service.worker.shards_completed";
       promote t
     end
-    else
-      send t
-        (Wire.Lease_renew
-           { campaign = l.t_campaign; shard = l.t_shard; epoch = l.t_epoch;
-             sent_at = now })
+    else renew t l ~now
 
 let task_failed t ~reason =
   match t.current with
@@ -258,29 +222,7 @@ let run_index ~resolved ~(spec : Wire.spec) ~index =
 
 (* --- blocking driver --------------------------------------------------------- *)
 
-type address = [ `Unix_socket of string | `Tcp of int ]
-
-let connect_fd address =
-  let domain, addr =
-    match address with
-    | `Unix_socket path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-    | `Tcp port -> (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-  in
-  match Unix.socket domain Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error (e, _, _) ->
-    Error (Printf.sprintf "connect: %s" (Unix.error_message e))
-  | fd -> (
-    match Unix.connect fd addr with
-    | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Printf.sprintf "connect: %s" (Unix.error_message e))
-    | () ->
-      Unix.set_nonblock fd;
-      Ok fd)
-
-(* Same classification as the client: transport loss, draining daemons
-   and timeouts are transient; protocol verdicts are not. *)
-let retryable = Client.retryable
+type address = Link.address
 
 let work_blocking ~address ?(name = "perple-worker") ?(attempts = 10)
     ?(backoff = 2.0) ?(initial_delay_ms = 100) ?(on_note = fun _ -> ()) () =
@@ -303,101 +245,51 @@ let work_blocking ~address ?(name = "perple-worker") ?(attempts = 10)
       | Some r -> Ok r
       | None -> (
         match Scheduler.resolve_spec spec with
+        | Ok r when r.Scheduler.r_digest <> digest ->
+          Error "digest mismatch: coordinator and worker disagree on config"
         | Ok r ->
-          if r.Scheduler.r_digest <> digest then
-            Error "digest mismatch: coordinator and worker disagree on config"
-          else begin
-            Hashtbl.replace cache digest r;
-            Ok r
-          end
+          Hashtbl.replace cache digest r;
+          Ok r
         | Error m -> Error (Printf.sprintf "spec rejected: %s" m))
     in
-    match resolved with
-    | Error _ as e -> e
-    | Ok r -> run_index ~resolved:r ~spec ~index
+    Result.bind resolved (fun r -> run_index ~resolved:r ~spec ~index)
   in
-  (* One connection: pump the state machine and execute leased runs
-     until it stops; returns the stop reason. *)
-  let drive_once () =
-    match connect_fd address with
-    | Error m -> m
-    | Ok fd ->
-      let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
-      Fun.protect ~finally @@ fun () ->
-      let epoch = Unix.gettimeofday () in
-      let now () = int_of_float ((Unix.gettimeofday () -. epoch) *. 1000.) in
-      let w = create ~name ~now:(now ()) () in
-      let rec loop () =
-        if !stop_signal <> None then "signalled"
-        else
-          match status w with
-          | Stopped reason when Framed.is_empty (output w) -> reason
-          | Stopped _ ->
-            (match Framed.write_from fd w.outbound with
-            | `Wrote _ | `Would_block -> ()
-            | `Closed | `Error _ ->
-              Framed.consume w.outbound (Framed.length w.outbound));
-            loop ()
-          | Running ->
-            (match task w with
-            | Some tk -> (
-              match execute tk with
-              | Ok record -> task_done w ~now:(now ()) ~record
-              | Error reason ->
-                on_note (Printf.sprintf "shard failed: %s" reason);
-                task_failed w ~reason)
-            | None -> ());
-            let timeout = if task w = None then 0.05 else 0. in
-            let writers = if Framed.is_empty w.outbound then [] else [ fd ] in
-            (match Unix.select [ fd ] writers [] timeout with
-            | readable, writable, _ ->
-              (if writable <> [] then
-                 match Framed.write_from fd w.outbound with
-                 | `Wrote _ | `Would_block -> ()
-                 | `Closed | `Error _ -> eof w ~now:(now ()));
-              (if readable <> [] then
-                 let stage = Framed.create () in
-                 match Framed.read_into fd stage with
-                 | `Read _ -> input w ~now:(now ()) (Framed.take_all stage)
-                 | `Would_block -> ()
-                 | `Closed | `Error _ -> eof w ~now:(now ()))
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            tick w ~now:(now ());
-            loop ()
-      in
-      let reason = loop () in
-      if leases_taken w > 0 then reason ^ "\x00worked" else reason
-  in
-  let policy =
-    { Supervisor.watchdog_rounds = max_int; min_retired = 1;
-      max_retries = attempts - 1; backoff }
-  in
-  let rec go attempt delay_ms =
+  (* One connection: execute leased runs between pump rounds until the
+     machine stops (flushing what it queued) or a signal arrives (at
+     once).  A connection that took a lease worked. *)
+  let connection () =
     match !stop_signal with
-    | Some s -> Ok s
+    | Some s -> Link.Finished s
     | None ->
-      let raw = drive_once () in
-      let worked, reason =
-        match String.index_opt raw '\x00' with
-        | Some i -> (true, String.sub raw 0 i)
-        | None -> (false, raw)
-      in
-      if reason = "signalled" then Ok (Option.value !stop_signal ~default:Sys.sigterm)
-      else if retryable reason then begin
-        (* Progress on the last connection refills the retry budget: a
-           worker only gives up after [attempts] consecutive fruitless
-           connections (a restarting coordinator is fine; a gone one is
-           not). *)
-        let attempt, delay_ms =
-          if worked then (0, initial_delay_ms) else (attempt, delay_ms)
-        in
-        if attempt + 1 < attempts then begin
-          on_note (Printf.sprintf "%s; reconnecting in %d ms" reason delay_ms);
-          Unix.sleepf (float_of_int delay_ms /. 1000.);
-          go (attempt + 1) (Supervisor.backed_off policy delay_ms)
-        end
-        else Error reason
-      end
-      else Error reason
+      Link.with_connection address @@ fun fd ~now ->
+      let w = create ~name ~now:(now ()) () in
+      Link.pump fd ~now
+        {
+          link = w.link;
+          input = input w;
+          eof = eof w;
+          advance = tick w;
+          step =
+            (fun () ->
+              match (!stop_signal, status w) with
+              | Some s, _ -> `Quit (Link.Finished s)
+              | None, Stopped reason ->
+                `Finish
+                  (Link.Lost
+                     { reason; worked = leases_taken w > 0; retry_after = None })
+              | None, Running ->
+                (match task w with
+                | Some tk -> (
+                  match execute tk with
+                  | Ok record -> task_done w ~now:(now ()) ~record
+                  | Error reason ->
+                    on_note (Printf.sprintf "shard failed: %s" reason);
+                    task_failed w ~reason)
+                | None -> ());
+                `Wait (if task w = None then 0.05 else 0.));
+        }
   in
-  go 0 initial_delay_ms
+  Link.reconnect ~attempts ~backoff ~initial_delay_ms
+    ~on_retry:(fun ~reason ~delay_ms ->
+      on_note (Printf.sprintf "%s; reconnecting in %d ms" reason delay_ms))
+    connection

@@ -10,16 +10,22 @@
     dropping the named lease (current or queued).  Any protocol
     violation, corrupt stream, daemon error, silence past the liveness
     deadline or EOF moves the machine to [Stopped] with a reason the
-    client-side {!Client.retryable} classification understands.
+    {!Link.retryable} classification understands.
 
     {!work_blocking} drives the machine over a real socket and
     reconnects on retryable stops with the
     {!Perple_harness.Supervisor.backed_off} growth discipline;
     reconnecting is safe because the coordinator detects the lost
     session, revokes the lease, and treats any late result from the
-    old epoch as a zombie. *)
+    old epoch as a zombie.
 
-type config = { heartbeat_every : int; liveness_timeout : int }
+    The connection discipline — framing, heartbeats and liveness, the
+    [select] pump with its bounded terminal flush, and the reconnect
+    loop — is {!Link}'s, shared with {!Client} and {!Session}; this
+    module keeps leases, tasks, the renew-on-beat rule and the
+    driver's lease execution and signal handling. *)
+
+type config = Link.config = { heartbeat_every : int; liveness_timeout : int }
 
 val default_config : config
 
@@ -69,7 +75,7 @@ val run_index :
     worker-merged ledgers byte-identical to a single-node [--jobs]
     run. *)
 
-type address = [ `Unix_socket of string | `Tcp of int ]
+type address = Link.address
 (** Coordinator endpoint: a filesystem socket or a loopback TCP port. *)
 
 val work_blocking :
@@ -82,9 +88,14 @@ val work_blocking :
   unit ->
   (int, string) result
 (** Connect to the coordinator, execute leases until told to stop.
-    Retryable disconnections reconnect up to [attempts] consecutive
-    fruitless times with exponentially grown sleeps; a connection that
-    executed at least one lease refills the budget.  Returns [Ok
-    signal] when stopped by SIGINT/SIGTERM, [Error reason] when the
-    coordinator rejected us or the retry budget ran dry.  [on_note]
-    receives human-readable progress lines. *)
+    Retryable disconnections reconnect ({!Link.reconnect}) up to
+    [attempts] consecutive fruitless times with exponentially grown
+    sleeps; a connection that took at least one lease refills the
+    budget and restarts the sleep at [initial_delay_ms], so a
+    restarting coordinator is survived and a gone one is not.  A
+    stopped machine's queued output is flushed for at most its
+    liveness timeout before the connection closes.  Returns [Ok
+    signal] at once when SIGINT/SIGTERM arrives (SIGPIPE is ignored
+    for the whole call), [Error reason] when the coordinator rejected
+    us or the retry budget ran dry.  [on_note] receives human-readable
+    progress lines. *)

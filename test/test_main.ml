@@ -7,5 +7,5 @@ let () =
    @ Test_report.suite
    @ Test_generate.suite @ Test_soundness.suite @ Test_observe.suite
    @ Test_persistency.suite @ Test_journal.suite @ Test_service.suite
-   @ Test_coordinator.suite @ Test_cli.suite @ Test_compat.suite
+   @ Test_coordinator.suite @ Test_link.suite @ Test_cli.suite @ Test_compat.suite
    @ Test_misc.suite)
